@@ -1,11 +1,12 @@
 """Engine throughput: the vectorized batch fast path vs the scalar loop.
 
-Not a paper figure - this benchmark prices the engine switch (the
-``engine="vector"`` fast path). The same fleet - Table II mixes cycled
+Not a paper figure - this benchmark prices the batch fast path against the
+scalar reference models. The same fleet - Table II mixes cycled
 across N servers, every app with unbounded work so the steady state never
 drains - advances the same number of ticks two ways:
 
 * **scalar** - one :class:`~repro.server.server.SimulatedServer` per mix,
+  built on the scalar reference models (``tests/engine/reference.py``) and
   ticked in a Python loop: the golden reference the vector path is pinned
   to bit-for-bit;
 * **vector** - one :class:`~repro.engine.BatchFleet` advancing the whole
@@ -38,6 +39,7 @@ from repro.engine import BatchFleet
 from repro.server.config import DEFAULT_SERVER_CONFIG
 from repro.server.server import SimulatedServer
 from repro.workloads.mixes import get_mix
+from tests.engine.reference import server_models
 
 SIZES = pick((10, 100, 1000), (2,))
 TICKS = pick(200, 20)
@@ -57,7 +59,8 @@ def _mixes(n_servers: int) -> list[list]:
 def _scalar_run(n_servers: int, n_ticks: int) -> tuple[float, np.ndarray, np.ndarray]:
     servers = []
     for mix in _mixes(n_servers):
-        server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0)
+        with server_models("scalar"):
+            server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0)
         for profile in sorted(mix, key=lambda p: p.name):
             server.admit(profile)
         servers.append(server)

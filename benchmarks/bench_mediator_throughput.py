@@ -9,9 +9,9 @@ recovers. The same fleet - Table II mixes cycled across N servers, every
 app with unbounded work - advances the same simulated span two ways:
 
 * **scalar** - one :class:`~repro.core.mediator.PowerMediator` per server
-  on the scalar engine, each ``run_for`` in a Python loop: the golden
-  reference;
-* **vector** - the same mediators on the vector engine, advanced by a
+  on the scalar reference models (``tests/engine/reference.py``), each
+  ``run_for`` in a Python loop: the golden reference;
+* **vector** - the same mediators on the production models, advanced by a
   :class:`~repro.engine.planner.MediatedFleet`, which replays steady
   stretches in closed-form horizon segments and drops to ``step()``
   whenever any entry gate fails.
@@ -54,6 +54,7 @@ from repro.server.config import DEFAULT_SERVER_CONFIG
 from repro.server.server import SimulatedServer
 from repro.workloads.catalog import CATALOG
 from repro.workloads.mixes import get_mix
+from tests.engine.reference import server_models
 
 SIZES = pick((10, 100, 1000), (2,))
 TICKS = pick(200, 12)
@@ -81,7 +82,8 @@ def _build_mediators(
     oracle_cache: dict = {}
     mediators = []
     for i in range(n_servers):
-        server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0, engine=engine)
+        with server_models(engine):
+            server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0)
         mediator = PowerMediator(
             server,
             policy_obj,

@@ -38,9 +38,9 @@ def power_model(config, perf_model) -> PowerModel:
 
 
 @pytest.fixture(scope="session")
-def oracle_sets(config, power_model) -> dict[str, CandidateSet]:
+def oracle_sets(config) -> dict[str, CandidateSet]:
     return {
-        name: CandidateSet.from_models(profile, config, power_model=power_model)
+        name: CandidateSet.from_models(profile, config)
         for name, profile in CATALOG.items()
     }
 

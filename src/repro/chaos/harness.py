@@ -170,7 +170,6 @@ def mix_recipe(
     seed: int,
     faults: FaultPlan | None,
     resilience: ResilienceConfig | None,
-    engine: str = "scalar",
 ) -> tuple[RunRecipe, list[Command]]:
     """The recipe + script equivalent of :func:`run_mix_experiment`."""
     if not apps:
@@ -184,7 +183,6 @@ def mix_recipe(
         seed=seed,
         faults=faults,
         resilience=resilience,
-        engine=engine,
     )
     script: list[Command] = [
         # Steady-state runs must not see departures; give everyone ample work.

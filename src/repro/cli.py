@@ -49,7 +49,6 @@ from repro.core.simulation import (
     summarize_mix_run,
 )
 from repro.core.utility import CandidateSet, app_utility_curve, resource_marginal_utilities
-from repro.engine import ENGINE_KINDS
 from repro.adversary.plan import ADVERSARY_KINDS
 from repro.errors import (
     AdversaryError,
@@ -227,7 +226,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
             seed=args.seed,
             faults=faults,
             resilience=None,
-            engine=args.engine,
         )
         supervisor = Supervisor(
             recipe,
@@ -253,7 +251,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
             seed=args.seed,
             faults=faults,
             trace_bus=bus,
-            engine=args.engine,
         )
     print(banner(f"{mix} @ {args.cap:.0f} W under {args.policy}"))
     rows = [
@@ -534,7 +531,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         warmup_s=args.warmup,
         use_oracle_estimates=args.oracle,
         seed=args.seed,
-        engine=args.engine,
     )
     print(banner(f"{len(mixes)} mixes @ {args.cap:.0f} W"))
     rows = [
@@ -611,7 +607,6 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
         use_oracle_estimates=args.oracle,
         seed=args.seed,
         faults=faults,
-        engine=args.engine,
     )
     print(banner(f"dynamic arrivals @ {args.cap:.0f} W under {args.policy}"))
     print(f"admitted  {len(result.admitted)}: {', '.join(result.admitted) or '-'}")
@@ -732,7 +727,7 @@ def _cluster_partition_soak(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     if args.chaos:
         return _cluster_partition_soak(args)
-    simulator = ClusterSimulator(engine=args.engine)
+    simulator = ClusterSimulator()
     step_s = 600.0 if args.fast else 120.0
     trace = ClusterPowerTrace.synthetic_diurnal(
         peak_w=simulator.uncapped_cluster_power_w(),
@@ -1054,15 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass online learning (true response surfaces)",
         )
 
-    def engine_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine",
-            choices=list(ENGINE_KINDS),
-            default="scalar",
-            help="server model implementation; 'vector' is the numpy "
-            "fast path, bit-identical to the scalar reference",
-        )
-
     def faults_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--faults",
@@ -1115,7 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restore a checkpoint and run the remaining duration",
     )
     common(p_mix)
-    engine_arg(p_mix)
     faults_arg(p_mix)
     observability_args(p_mix)
     p_mix.set_defaults(func=cmd_mix)
@@ -1270,7 +1255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--duration", type=float, default=25.0)
     p_cmp.add_argument("--warmup", type=float, default=8.0)
     common(p_cmp)
-    engine_arg(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_util = sub.add_parser("utility", help="an application's utility curves")
@@ -1288,7 +1272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--work", type=float, default=100.0, help="work units per arrival")
     p_dyn.add_argument("--policy", choices=POLICY_NAMES, default="app+res-aware")
     common(p_dyn)
-    engine_arg(p_dyn)
     faults_arg(p_dyn)
     p_dyn.set_defaults(func=cmd_dynamic)
 
@@ -1326,7 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run RUNS seeded partition-chaos schedules against the control "
         "plane instead of the Fig. 12 sweep",
     )
-    engine_arg(p_clu)
     faults_arg(p_clu)
     observability_args(p_clu)
     p_clu.set_defaults(func=cmd_cluster)
@@ -1413,7 +1395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
+    args, unknown = build_parser().parse_known_args(
+        argv if argv is not None else sys.argv[1:]
+    )
+    if unknown:
+        return _fail(ConfigurationError(f"unrecognized arguments: {' '.join(unknown)}"))
     try:
         return int(args.func(args))
     except (

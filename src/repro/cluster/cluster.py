@@ -220,9 +220,6 @@ class ClusterSimulator:
             class, ~10 W) rather than burning full idle power - standard
             practice for diurnal fleets since the energy-proportionality
             literature the paper builds on.
-        engine: Server model implementation (``"scalar"``/``"vector"``)
-            forwarded to every per-bin server simulation; bit-identical
-            results either way, so it only changes sweep wall-clock.
     """
 
     def __init__(
@@ -232,16 +229,12 @@ class ClusterSimulator:
         mixes: list[Mix] | None = None,
         cap_grid_w: float = 20.0,
         unloaded_server_power_w: float = 10.0,
-        engine: str = "scalar",
     ) -> None:
-        from repro.engine import validate_engine
-
         if cap_grid_w <= 0:
             raise ConfigurationError("cap_grid_w must be positive")
         if unloaded_server_power_w < 0:
             raise ConfigurationError("unloaded_server_power_w must be non-negative")
         self._unloaded_w = unloaded_server_power_w
-        self._engine = validate_engine(engine)
         self._config = config
         self._mixes = mixes if mixes is not None else all_mixes()[:10]
         if not self._mixes:
@@ -529,7 +522,6 @@ class ClusterSimulator:
                         warmup_s=warmup_s,
                         dt_s=dt_s,
                         seed=seed,
-                        engine=self._engine,
                     )
                     bin_cache[key] = (
                         evaluation.aggregate_perf,
@@ -699,7 +691,6 @@ class ClusterSimulator:
                         warmup_s=warmup_s,
                         dt_s=dt_s,
                         seed=seed,
-                        engine=self._engine,
                     )
                     perf_time += evaluation.aggregate_perf * step_s
                     power_time += evaluation.cluster_power_w * step_s

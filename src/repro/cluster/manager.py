@@ -65,7 +65,6 @@ def evaluate_equal_policy_bin(
     warmup_s: float = 15.0,
     dt_s: float = 0.1,
     seed: int = 0,
-    engine: str = "scalar",
 ) -> BinEvaluation:
     """Evaluate an even-split strategy at one per-server cap.
 
@@ -76,15 +75,13 @@ def evaluate_equal_policy_bin(
         config: Server hardware.
         cache: Cross-bin memo ``(mix_id, policy, cap) -> (perf, power)``;
             the caller owns it so it persists across bins and shaving
-            levels. Entries are engine-independent (the engines are
-            bit-identical), so one cache may serve both.
+            levels.
         loaded_powers_w: Uncapped draw per mix, aligned with ``mixes``.
             When the cap is at or above a server's uncapped draw it is
             non-binding: the server runs uncapped (perf 2.0) without
             simulation.
         duration_s / warmup_s / dt_s / seed: Forwarded to the server
             experiment.
-        engine: Server model implementation forwarded to the experiment.
 
     Raises:
         ConfigurationError: for unknown strategies.
@@ -122,7 +119,6 @@ def evaluate_equal_policy_bin(
                     warmup_s=warmup_s,
                     dt_s=dt_s,
                     seed=seed,
-                    engine=engine,
                 )
                 cache[key] = (result.server_throughput, result.mean_wall_power_w)
         perf, power = cache[key]

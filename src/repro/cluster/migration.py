@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.engine.models import VectorPerformanceModel, VectorPowerModel
 from repro.errors import ConfigurationError
 from repro.server.config import KnobSetting, ServerConfig
-from repro.server.perf_model import PerformanceModel
-from repro.server.power_model import PowerModel
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -86,8 +85,8 @@ class ConsolidationPlanner:
         if migration_downtime_s < 0:
             raise ConfigurationError("migration_downtime_s must be non-negative")
         self._config = config
-        self._perf = PerformanceModel(config)
-        self._power = PowerModel(config, self._perf)
+        self._perf = VectorPerformanceModel(config)
+        self._power = VectorPowerModel(config, self._perf)
         self._max_per_socket = max_apps_per_socket
         self.migration_downtime_s = migration_downtime_s
 

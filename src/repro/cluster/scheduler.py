@@ -31,7 +31,6 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.core.allocator import PowerAllocator
 from repro.core.utility import CandidateSet
 from repro.server.config import ServerConfig
-from repro.server.power_model import PowerModel
 from repro.workloads.profiles import WorkloadProfile
 
 #: The placement strategies the benchmark compares.
@@ -105,7 +104,6 @@ class PowerAwareScheduler:
                 f"unknown strategy {strategy!r}; expected one of {PLACEMENT_POLICIES}"
             )
         self._config = config
-        self._power_model = PowerModel(config)
         self._allocator = PowerAllocator()
         self._servers = [
             ServerSlot(index=i, p_cap_w=cap, capacity=capacity)
@@ -133,9 +131,7 @@ class PowerAwareScheduler:
 
     def _candidates_of(self, profile: WorkloadProfile) -> CandidateSet:
         if profile.name not in self._cset_cache:
-            self._cset_cache[profile.name] = CandidateSet.from_models(
-                profile, self._config, power_model=self._power_model
-            )
+            self._cset_cache[profile.name] = CandidateSet.from_models(profile, self._config)
         return self._cset_cache[profile.name]
 
     def server_objective(self, slot: ServerSlot) -> float:

@@ -408,14 +408,12 @@ class PowerMediator:
         self._metrics.gauge("mediator.managed_apps").set(float(len(self._managed)))
         if self._battery is not None:
             self._metrics.gauge("esd.soc").set(self._battery.soc)
-        # Vector models count scalar-superclass fallbacks (off-grid queries
-        # that silently bypass the fast path). Sync them into the registry so
-        # they show up in metrics instead of only as mystery slowdowns. The
-        # counter is created on first fallback only: honest on-grid runs keep
-        # a registry identical to the scalar engine's.
-        fallbacks = getattr(self._server.perf_model, "fallbacks", 0) + getattr(
-            self._server.power_model, "fallbacks", 0
-        )
+        # The server models count scalar-superclass fallbacks (off-grid
+        # queries that silently bypass the surfaces). Sync them into the
+        # registry so they show up in metrics instead of only as mystery
+        # slowdowns. The counter is created on first fallback only, so honest
+        # on-grid runs keep a registry without it.
+        fallbacks = self._server.perf_model.fallbacks + self._server.power_model.fallbacks
         if fallbacks:
             counter = self._metrics.counter("engine.fallback")
             if fallbacks > counter.value:
@@ -1407,9 +1405,7 @@ class PowerMediator:
                 cache_key = (profile, config, width if width < config.cores_max else None)
                 oracle = self._oracle_cache.get(cache_key)
             if oracle is None:
-                oracle = CandidateSet.from_models(
-                    profile, config, power_model=self._server.power_model
-                )
+                oracle = CandidateSet.from_models(profile, config)
                 if width < config.cores_max:
                     oracle = oracle.subset(
                         [i for i, k in enumerate(oracle.knobs) if k.cores <= width],

@@ -137,7 +137,6 @@ def run_mix_experiment(
     trace_bus: TraceBus | None = None,
     adversaries: AdversarySchedule | None = None,
     defense: DefenseConfig | None = None,
-    engine: str = "scalar",
 ) -> MixExperimentResult:
     """Run one co-location under one policy and cap.
 
@@ -163,9 +162,6 @@ def run_mix_experiment(
         adversaries: Optional strategic-tenant schedule; named apps behave
             adversarially (see :mod:`repro.adversary.plan`).
         defense: TrustScorer tunables (defenses default on).
-        engine: Server model implementation, ``"scalar"`` (reference) or
-            ``"vector"`` (fast path); trace hashes and results are
-            bit-identical between the two.
 
     Raises:
         ConfigurationError: for an empty app list.
@@ -176,7 +172,7 @@ def run_mix_experiment(
         policy = make_policy(policy)
     if policy.uses_esd and battery is None:
         battery = default_battery()
-    server = SimulatedServer(config, seed=seed, engine=engine)
+    server = SimulatedServer(config, seed=seed)
     mediator = PowerMediator(
         server,
         policy,
@@ -251,7 +247,6 @@ def run_policy_comparison(
     use_oracle_estimates: bool = False,
     dt_s: float = 0.1,
     seed: int = 0,
-    engine: str = "scalar",
 ) -> dict[int, dict[str, MixExperimentResult]]:
     """The Figs. 8a/10 harness: every mix under every policy at one cap.
 
@@ -272,7 +267,6 @@ def run_policy_comparison(
                 use_oracle_estimates=use_oracle_estimates,
                 dt_s=dt_s,
                 seed=seed,
-                engine=engine,
             )
         results[mix.mix_id] = per_policy
     return results
@@ -328,7 +322,6 @@ def run_dynamic_experiment(
     faults: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
     trace_bus: TraceBus | None = None,
-    engine: str = "scalar",
 ) -> DynamicExperimentResult:
     """Replay an arrival schedule against one mediated server.
 
@@ -349,7 +342,6 @@ def run_dynamic_experiment(
         battery: ESD; defaults to :func:`default_battery` for ESD policies.
         use_oracle_estimates / dt_s / seed: As in :func:`run_mix_experiment`.
         faults / resilience: As in :func:`run_mix_experiment`.
-        engine: As in :func:`run_mix_experiment`.
     """
     if horizon_s <= 0:
         raise ConfigurationError("horizon_s must be positive")
@@ -357,7 +349,7 @@ def run_dynamic_experiment(
         policy = make_policy(policy)
     if policy.uses_esd and battery is None:
         battery = default_battery()
-    server = SimulatedServer(config, seed=seed, engine=engine)
+    server = SimulatedServer(config, seed=seed)
     mediator = PowerMediator(
         server,
         policy,

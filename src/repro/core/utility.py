@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.models import VectorPowerModel
+from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError
 from repro.server.config import KnobSetting, ServerConfig
-from repro.server.perf_model import PerformanceModel
-from repro.server.power_model import PowerModel
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -56,41 +56,17 @@ class CandidateSet:
             raise ConfigurationError("perf_nocap must be positive")
 
     @classmethod
-    def from_models(
-        cls,
-        profile: WorkloadProfile,
-        config: ServerConfig,
-        *,
-        power_model: PowerModel | None = None,
-    ) -> "CandidateSet":
-        """Oracle candidate set from the true response models.
-
-        A vector power model (:class:`repro.engine.VectorPowerModel`) exposes
-        ``surface_of``; its precomputed columns are gathered wholesale instead
-        of looping 432 scalar queries - bit-identical either way, so the fast
-        path needs no behavioural carve-outs.
-        """
-        power_model = power_model if power_model is not None else PowerModel(config)
-        perf_model = power_model.perf_model
-        surface_of = getattr(power_model, "surface_of", None)
-        if surface_of is not None and power_model.config is config:
-            surface = surface_of(profile)
-            return cls(
-                app=profile.name,
-                knobs=surface.knobs,
-                power_w=surface.app_power_w.copy(),
-                perf=surface.rate.copy(),
-                perf_nocap=float(surface.peak_rate),
-            )
-        knobs = tuple(config.knob_space())
-        power = np.array([power_model.app_power_w(profile, k) for k in knobs])
-        perf = np.array([perf_model.rate(profile, k) for k in knobs])
+    def from_models(cls, profile: WorkloadProfile, config: ServerConfig) -> "CandidateSet":
+        """Oracle candidate set from the true response models: the columns
+        of the profile's cached response surface (:mod:`repro.engine.surface`),
+        bitwise equal to the scalar models at every knob."""
+        surface = grid_for(config).surface(profile)
         return cls(
             app=profile.name,
-            knobs=knobs,
-            power_w=power,
-            perf=perf,
-            perf_nocap=float(perf_model.peak_rate(profile)),
+            knobs=surface.knobs,
+            power_w=surface.app_power_w.copy(),
+            perf=surface.rate.copy(),
+            perf_nocap=float(surface.peak_rate),
         )
 
     @classmethod
@@ -301,7 +277,6 @@ def resource_marginal_utilities(
     config: ServerConfig,
     *,
     reference: KnobSetting | None = None,
-    power_model: PowerModel | None = None,
 ) -> dict[str, float]:
     """The Fig. 3 quantities: performance per watt of each direct resource.
 
@@ -316,7 +291,7 @@ def resource_marginal_utilities(
     Returns ``{resource: delta_relative_perf_per_watt}``; a resource already
     at its maximum contributes 0.0.
     """
-    power_model = power_model if power_model is not None else PowerModel(config)
+    power_model = VectorPowerModel(config)
     perf_model = power_model.perf_model
     freqs = config.frequencies_ghz
     if reference is None:

@@ -2,13 +2,12 @@
 
 Two layers:
 
-* **Vector models** (:mod:`repro.engine.models`): drop-in subclasses of the
-  scalar performance/power models that serve every query from precomputed
-  full-knob-space response surfaces (:mod:`repro.engine.surface`). Selected
-  with ``engine="vector"`` on :class:`~repro.server.server.SimulatedServer`
-  and threaded through every experiment driver and the CLI (``--engine``).
-  Bit-identical to the scalar path by construction - the golden-trace suite
-  pins both, and ``tests/engine/test_differential.py`` fuzzes the claim.
+* **Vector models** (:mod:`repro.engine.models`): subclasses of the scalar
+  performance/power models that serve every query from precomputed
+  full-knob-space response surfaces (:mod:`repro.engine.surface`). They are
+  the only models :class:`~repro.server.server.SimulatedServer` builds.
+  Bit-identical to the scalar models by construction - the golden-trace
+  suite pins both, and ``tests/engine/test_differential.py`` fuzzes the claim.
 * **Batch fleet** (:mod:`repro.engine.batch`): N servers advanced per tick
   with array operations, for fleet-scale throughput
   (``benchmarks/bench_engine_throughput.py``).
@@ -19,8 +18,8 @@ Two layers:
   server, which imports this package, so a top-level import here would be
   circular.
 
-The scalar path remains the golden reference; the vector path exists to make
-it affordable at scale, never to redefine it.
+The scalar models remain the differential oracle (and the off-grid fallback);
+the surfaces exist to make them affordable at scale, never to redefine them.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from __future__ import annotations
 from repro.engine.batch import BatchFleet
 from repro.engine.models import VectorPerformanceModel, VectorPowerModel
 from repro.engine.surface import ConfigGrid, ResponseSurface, grid_for, surface_for
-from repro.errors import ConfigurationError
 
 __all__ = [
-    "ENGINE_KINDS",
     "BatchFleet",
     "ConfigGrid",
     "MediatedFleet",
@@ -40,7 +37,6 @@ __all__ = [
     "VectorPowerModel",
     "grid_for",
     "surface_for",
-    "validate_engine",
 ]
 
 
@@ -52,19 +48,3 @@ def __getattr__(name: str):
 
         return MediatedFleet
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-#: The engine switch's accepted values, in reference-first order.
-ENGINE_KINDS = ("scalar", "vector")
-
-
-def validate_engine(engine: str) -> str:
-    """Normalize/validate an ``engine=`` argument.
-
-    Raises:
-        ConfigurationError: for anything but the supported kinds.
-    """
-    if engine not in ENGINE_KINDS:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_KINDS}"
-        )
-    return engine

@@ -19,7 +19,7 @@ sees a numpy scalar.
 
 from __future__ import annotations
 
-from repro.engine.surface import ConfigGrid, ResponseSurface, grid_for
+from repro.engine.surface import ConfigGrid, grid_for
 from repro.server.config import KnobSetting, ServerConfig
 from repro.server.perf_model import PerformanceModel
 from repro.server.power_model import PowerModel
@@ -38,15 +38,6 @@ class VectorPerformanceModel(PerformanceModel):
         #: here is a silent fast-path bypass; the mediator surfaces the sum
         #: as the ``engine.fallback`` metrics counter.
         self.fallbacks = 0
-
-    @property
-    def grid(self) -> ConfigGrid:
-        """The shared knob grid (exposed for batch consumers)."""
-        return self._grid
-
-    def surface_of(self, profile: WorkloadProfile) -> ResponseSurface:
-        """The profile's cached full-knob-space surface."""
-        return self._grid.surface(profile)
 
     # Each override: O(1) gather on-grid, scalar-superclass off-grid.
 
@@ -116,12 +107,6 @@ class VectorPowerModel(PowerModel):
         #: Off-grid queries answered by the scalar superclass (see
         #: :class:`VectorPerformanceModel`.fallbacks).
         self.fallbacks = 0
-
-    def surface_of(self, profile: WorkloadProfile) -> ResponseSurface:
-        """The profile's cached surface (the learn-path batch hook:
-        :meth:`repro.core.utility.CandidateSet.from_models` gathers its
-        power/perf columns instead of looping 432 scalar model calls)."""
-        return self._grid.surface(profile)
 
     def core_power_w(self, profile: WorkloadProfile, knob: KnobSetting) -> float:
         idx = self._grid.index_of(knob)

@@ -10,9 +10,9 @@ evaluates every quantity the models expose over the *entire* knob space once,
 with numpy array operations, and the vector models serve each subsequent
 query as an O(1) gather.
 
-**The equivalence contract.** The vector engine must reproduce the scalar
-engine bit-for-bit - the golden-trace suite hashes every event, so "close"
-is a failure. Two rules make that achievable:
+**The equivalence contract.** The surfaces must reproduce the scalar models
+bit-for-bit - the golden-trace suite hashes every event, so "close" is a
+failure. Two rules make that achievable:
 
 1. *Identical operation ordering.* Every array expression below mirrors the
    scalar model's arithmetic term for term, in the same association order.

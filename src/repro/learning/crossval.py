@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError, LearningError
 from repro.learning.collaborative import CollaborativeEstimator
 from repro.learning.matrix import PreferenceMatrix
 from repro.learning.sampling import Sampler, StratifiedSampler
 from repro.server.config import ServerConfig
-from repro.server.perf_model import PerformanceModel
-from repro.server.power_model import PowerModel
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -83,25 +82,49 @@ def build_exhaustive_corpus(
 
     This is the "previously seen applications" store: on the paper's system
     it accretes over time; experiments bootstrap it by exhaustive offline
-    profiling, optionally with measurement noise.
+    profiling, optionally with measurement noise. Each row is the profile's
+    cached response surface (:mod:`repro.engine.surface`), bitwise equal to
+    the scalar models at every knob.
     """
     if not profiles:
         raise ConfigurationError("need at least one profile")
-    perf_model = PerformanceModel(config)
-    power_model = PowerModel(config, perf_model)
+    grid = grid_for(config)
     rng = np.random.default_rng(seed)
     corpus = PreferenceMatrix(config)
     for profile in profiles:
         corpus.add_app(profile.name)
-        for knob in config.knob_space():
-            power = power_model.app_power_w(profile, knob)
-            perf = perf_model.rate(profile, knob)
-            if power_noise_std_w > 0:
-                power = max(0.0, power + float(rng.normal(0.0, power_noise_std_w)))
-            if perf_noise_relative_std > 0:
-                perf = max(0.0, perf * (1.0 + float(rng.normal(0.0, perf_noise_relative_std))))
-            corpus.observe(profile.name, knob, power_w=power, perf=perf)
+        surface = grid.surface(profile)
+        power, perf = surface.app_power_w, surface.rate
+        if power_noise_std_w > 0 or perf_noise_relative_std > 0:
+            power, perf = _with_noise(
+                rng, power, perf, power_noise_std_w, perf_noise_relative_std
+            )
+        corpus.observe_row(profile.name, power_w=power, perf=perf)
     return corpus
+
+
+def _with_noise(
+    rng: np.random.Generator,
+    power: np.ndarray,
+    perf: np.ndarray,
+    power_std_w: float,
+    perf_relative_std: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy copies of one corpus row, clipped at zero.
+
+    The draws come in the per-cell order of a knob-by-knob profiling pass:
+    cell by cell in column order, each cell's power draw before its perf
+    draw, and no draw for a noise source that is off.
+    """
+    stds = [std for std in (power_std_w, perf_relative_std) if std > 0]
+    draws = iter(rng.normal(0.0, stds, size=(len(power), len(stds))).T)
+    if power_std_w > 0:
+        noisy = power + next(draws)
+        power = np.where(noisy > 0.0, noisy, 0.0)
+    if perf_relative_std > 0:
+        noisy = perf * (1.0 + next(draws))
+        perf = np.where(noisy > 0.0, noisy, 0.0)
+    return power, perf
 
 
 def _best_under_budget(
@@ -161,10 +184,8 @@ def calibrate_sampling_fraction(
         )
     if not fractions:
         raise ConfigurationError("need at least one fraction to evaluate")
-    perf_model = PerformanceModel(config)
-    power_model = PowerModel(config, perf_model)
+    grid = grid_for(config)
     corpus = build_exhaustive_corpus(config, profiles)
-    space = config.knob_space()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(profiles))
     fold_of = {profiles[int(idx)].name: i % folds for i, idx in enumerate(order)}
@@ -185,19 +206,20 @@ def calibrate_sampling_fraction(
             train = PreferenceMatrix(config)
             for name in train_names:
                 train.add_app(name)
-                power_row = corpus.power_row(name)
-                perf_row = corpus.perf_row(name)
-                for j, knob in enumerate(space):
-                    train.observe(name, knob, power_w=power_row[j], perf=perf_row[j])
+                train.observe_row(
+                    name, power_w=corpus.power_row(name), perf=corpus.perf_row(name)
+                )
             estimator = CollaborativeEstimator(rank=rank, seed=seed + fold)
             estimator.train(train)
             for name in test_names:
-                profile = by_name[name]
+                surface = grid.surface(by_name[name])
+                true_power = surface.app_power_w
+                true_perf = surface.rate
                 sampler = factory(fraction, seed=seed + sum(map(ord, name)))
                 sampled = {}
                 for knob in sampler.select(config):
-                    power = power_model.app_power_w(profile, knob)
-                    perf = perf_model.rate(profile, knob)
+                    power = float(true_power[grid.index[knob]])
+                    perf = float(true_perf[grid.index[knob]])
                     power = max(
                         0.0, power + float(rng.normal(0.0, power_noise_std_w))
                     )
@@ -207,10 +229,6 @@ def calibrate_sampling_fraction(
                     )
                     sampled[knob] = (power, perf)
                 estimate = estimator.estimate(train, sampled)
-                true_power = np.array(
-                    [power_model.app_power_w(profile, k) for k in space]
-                )
-                true_perf = np.array([perf_model.rate(profile, k) for k in space])
                 chosen = _best_under_budget(estimate.power_w, estimate.perf, budget_w)
                 oracle = _best_under_budget(true_power, true_perf, budget_w)
                 power_ratios.append(true_power[chosen] / budget_w)

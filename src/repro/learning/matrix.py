@@ -106,6 +106,21 @@ class PreferenceMatrix:
         self._power[row, col] = power_w
         self._perf[row, col] = perf
 
+    def observe_row(self, app: str, *, power_w: np.ndarray, perf: np.ndarray) -> None:
+        """Record one measurement per column of ``app``'s row at once.
+
+        Raises:
+            LearningError: for unknown apps or rows of the wrong length.
+            ConfigurationError: for negative observations.
+        """
+        row = self._row_of(app)
+        if len(power_w) != self.n_columns or len(perf) != self.n_columns:
+            raise LearningError(f"a row of {app!r} needs {self.n_columns} observations")
+        if (power_w < 0).any() or (perf < 0).any():
+            raise ConfigurationError("observations must be non-negative")
+        self._power[row] = power_w
+        self._perf[row] = perf
+
     # ------------------------------------------------------------- queries
 
     def power_rows(self) -> np.ndarray:

@@ -45,9 +45,11 @@ class GoldenSpec:
 
     ``trace_hash`` and ``modes`` are the *recorded* outcome (empty/None on a
     freshly authored spec until ``--write`` fills them in); everything else
-    parameterizes the run. ``engine`` selects the server model
-    implementation; the vector engine is pinned to the *same* hashes as the
-    scalar reference, so a vector spec re-records to an identical hash.
+    parameterizes the run.
+
+    Spec files written before the single server-model path tag each spec
+    with an ``engine`` (``"scalar"``/``"vector"``). The tag is validated and
+    kept in the file, but every spec replays on the one production path.
     """
 
     name: str
@@ -61,7 +63,6 @@ class GoldenSpec:
     regime: str  # dominant coordination mode the spec is meant to pin
     trace_hash: str | None = None
     modes: dict[str, int] | None = None
-    engine: str = "scalar"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -76,7 +77,6 @@ class GoldenSpec:
             "regime": self.regime,
             "trace_hash": self.trace_hash,
             "modes": self.modes,
-            "engine": self.engine,
         }
 
     @classmethod
@@ -92,6 +92,8 @@ class GoldenSpec:
             }
         )
         raw_hash = doc.get("trace_hash")
+        if "engine" in doc:
+            _VALIDATE.choice(doc["engine"], f"{path}.engine", ("scalar", "vector"))
         return cls(
             name=_VALIDATE.as_str(doc.get("name"), f"{path}.name"),
             mix_id=_VALIDATE.as_int(doc.get("mix_id"), f"{path}.mix_id"),
@@ -102,11 +104,12 @@ class GoldenSpec:
             ),
             warmup_s=float(_VALIDATE.as_number(doc.get("warmup_s"), f"{path}.warmup_s")),
             seed=_VALIDATE.as_int(doc.get("seed"), f"{path}.seed"),
-            use_oracle_estimates=bool(doc.get("use_oracle_estimates", False)),
+            use_oracle_estimates=_VALIDATE.as_bool(
+                doc.get("use_oracle_estimates", False), f"{path}.use_oracle_estimates"
+            ),
             regime=_VALIDATE.as_str(doc.get("regime"), f"{path}.regime"),
             trace_hash=None if raw_hash is None else str(raw_hash),
             modes=modes,
-            engine=_VALIDATE.as_str(doc.get("engine", "scalar"), f"{path}.engine"),
         )
 
 
@@ -149,7 +152,6 @@ def run_spec(spec: GoldenSpec, *, defense=None) -> GoldenOutcome:
         seed=spec.seed,
         trace_bus=bus,
         defense=defense,
-        engine=spec.engine,
     )
     verify_trace(bus.events)
     summary = summarize_trace(bus.events)
@@ -193,9 +195,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
 
     specs = load_specs(args.specs)
+    # --write updates the recorded fields in place, so every other key of
+    # the file (legacy ``engine`` tags included) survives a re-record.
+    with open(args.specs, "r", encoding="utf-8") as handle:
+        items = json.load(handle)
     failures = 0
-    updated: list[GoldenSpec] = []
-    for spec in specs:
+    for item, spec in zip(items, specs):
         outcome = run_spec(spec)
         if outcome.dominant_mode != spec.regime:
             print(
@@ -205,15 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             failures += 1
         if args.write:
-            updated.append(
-                GoldenSpec(
-                    **{
-                        **spec.to_dict(),
-                        "trace_hash": outcome.trace_hash,
-                        "modes": outcome.modes,
-                    }
-                )
-            )
+            item.update(trace_hash=outcome.trace_hash, modes=outcome.modes)
             print(f"{spec.name}: recorded {outcome.trace_hash}")
         elif outcome.trace_hash != spec.trace_hash:
             print(
@@ -225,7 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"{spec.name}: ok ({outcome.ticks} ticks, modes {outcome.modes})")
     if args.write and failures == 0:
-        save_specs(args.specs, updated)
+        with open(args.specs, "w", encoding="utf-8") as handle:
+            json.dump(items, handle, indent=2, sort_keys=True)
+            handle.write("\n")
     return 1 if failures else 0
 
 

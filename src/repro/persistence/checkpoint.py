@@ -47,7 +47,6 @@ from repro.core.mediator import PowerMediator
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.resilience import ResilienceConfig
 from repro.core.simulation import default_battery
-from repro.engine import ENGINE_KINDS
 from repro.faults.plan import FaultPlan
 from repro.learning.sampling import sampler_from_spec
 from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
@@ -60,6 +59,10 @@ CHECKPOINT_SCHEMA = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
 
 _VALID = Validator(CheckpointError)
+
+#: ``recipe.engine`` values that checkpoints from before the single model
+#: path may carry.
+_LEGACY_ENGINES = ("scalar", "vector")
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ServerConfig)}
 _RESILIENCE_FIELDS = {f.name for f in dataclasses.fields(ResilienceConfig)}
@@ -90,9 +93,6 @@ class RunRecipe:
         seed: Seed for calibration noise (and the server's sensors).
         faults: Optional fault plan injected during the run.
         resilience: Degraded-mode tunables, or ``None`` for defaults.
-        engine: Server model implementation (``"scalar"``/``"vector"``).
-            Bit-identical results, so restoring a checkpoint under either
-            engine is legal; the recipe records the one the run requested.
     """
 
     policy: str
@@ -107,7 +107,6 @@ class RunRecipe:
     seed: int = 0
     faults: FaultPlan | None = None
     resilience: ResilienceConfig | None = None
-    engine: str = "scalar"
 
     @property
     def wants_battery(self) -> bool:
@@ -125,7 +124,7 @@ class RunRecipe:
 
     def build(self) -> PowerMediator:
         """Construct a fresh mediator exactly as this recipe describes."""
-        server = SimulatedServer(self.config, seed=self.seed, engine=self.engine)
+        server = SimulatedServer(self.config, seed=self.seed)
         return PowerMediator(
             server,
             make_policy(self.policy),
@@ -162,7 +161,6 @@ class RunRecipe:
             "resilience": None
             if self.resilience is None
             else dataclasses.asdict(self.resilience),
-            "engine": self.engine,
         }
 
     @classmethod
@@ -210,6 +208,11 @@ class RunRecipe:
                         f"{where}.resilience.{key}", "unknown resilience field"
                     )
             resilience = ResilienceConfig(**resilience_raw)
+        if "engine" in obj:
+            # Older checkpoints name the server-model implementation the run
+            # used. Both former choices are bit-identical to today's single
+            # model path, so the key is validated and otherwise ignored.
+            _VALID.choice(obj["engine"], f"{where}.engine", _LEGACY_ENGINES)
         try:
             config = ServerConfig(**config_raw)
         except (ConfigurationError, TypeError) as exc:
@@ -238,9 +241,6 @@ class RunRecipe:
                 seed=_VALID.as_int(obj.get("seed", 0), f"{where}.seed"),
                 faults=faults,
                 resilience=resilience,
-                engine=_VALID.choice(
-                    obj.get("engine", "scalar"), f"{where}.engine", ENGINE_KINDS
-                ),
             )
         except ConfigurationError as exc:
             raise CheckpointError(f"{where}: {exc}") from None

@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.engine import VectorPerformanceModel, VectorPowerModel, validate_engine
+from repro.engine import VectorPerformanceModel, VectorPowerModel
 from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.server.config import KnobSetting, ServerConfig, DEFAULT_SERVER_CONFIG
 from repro.server.heartbeats import HeartbeatMonitor
 from repro.server.knobs import KnobController
-from repro.server.perf_model import PerformanceModel
-from repro.server.power_model import PowerBreakdown, PowerModel
+from repro.server.power_model import PowerBreakdown
 from repro.server.rapl import RaplInterface
 from repro.server.sleep import SleepController
 from repro.server.topology import ServerTopology
@@ -108,11 +107,10 @@ class SimulatedServer:
         power_noise_std_w: Gaussian noise on RAPL power readings.
         perf_noise_relative_std: Relative noise on heartbeat rates.
         seed: Seed for both noise sources (reproducibility).
-        engine: ``"scalar"`` for the reference Python models, ``"vector"``
-            for the surface-cached fast path (:mod:`repro.engine`). The two
-            are bit-identical - same trace hashes, same state dicts - so the
-            choice is purely a speed knob; it is construction-time config
-            (like the noise parameters) and not part of :meth:`state_dict`.
+
+    The performance and power models are the surface-backed ones of
+    :mod:`repro.engine`, bit-identical to the scalar reference models they
+    subclass.
     """
 
     def __init__(
@@ -122,17 +120,11 @@ class SimulatedServer:
         power_noise_std_w: float = 0.0,
         perf_noise_relative_std: float = 0.0,
         seed: int = 0,
-        engine: str = "scalar",
     ) -> None:
         self._config = config
-        self._engine = validate_engine(engine)
         self._topology = ServerTopology(config)
-        if self._engine == "vector":
-            self._perf: PerformanceModel = VectorPerformanceModel(config)
-            self._power: PowerModel = VectorPowerModel(config, self._perf)
-        else:
-            self._perf = PerformanceModel(config)
-            self._power = PowerModel(config, self._perf)
+        self._perf = VectorPerformanceModel(config)
+        self._power = VectorPowerModel(config, self._perf)
         self._rapl = RaplInterface(config.sockets, noise_std_w=power_noise_std_w, seed=seed)
         self._heartbeats = HeartbeatMonitor(
             noise_relative_std=perf_noise_relative_std, seed=seed + 1
@@ -154,20 +146,15 @@ class SimulatedServer:
         return self._config
 
     @property
-    def engine(self) -> str:
-        """Which model implementation backs this server (``scalar``/``vector``)."""
-        return self._engine
-
-    @property
     def topology(self) -> ServerTopology:
         return self._topology
 
     @property
-    def perf_model(self) -> PerformanceModel:
+    def perf_model(self) -> VectorPerformanceModel:
         return self._perf
 
     @property
-    def power_model(self) -> PowerModel:
+    def power_model(self) -> VectorPowerModel:
         return self._power
 
     @property

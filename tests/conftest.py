@@ -65,12 +65,12 @@ def server(config: ServerConfig) -> SimulatedServer:
 
 @pytest.fixture(params=("scalar", "vector"))
 def engine(request) -> str:
-    """Both server-model implementations.
+    """Both server-model kinds: the scalar reference and production.
 
     Fixtures built on this (``make_mediator``, and any test requesting it
-    directly) run twice - once per engine - so every behaviour they pin is
-    continuously proven engine-independent, complementing the dedicated
-    differential suite in ``tests/engine/``.
+    directly) run twice - once on the scalar reference models, once on the
+    production surface-backed models (see ``tests/engine/reference.py``) -
+    complementing the dedicated differential suite in ``tests/engine/``.
     """
     return request.param
 
@@ -86,9 +86,11 @@ def make_mediator(config: ServerConfig, engine: str):
     from repro.core.mediator import PowerMediator
     from repro.core.policies import make_policy
     from repro.core.simulation import default_battery
+    from tests.engine.reference import server_models
 
     def make(policy: str = "app+res-aware", cap: float = 100.0, **kwargs):
-        server = SimulatedServer(config, engine=engine)
+        with server_models(engine):
+            server = SimulatedServer(config)
         policy_obj = make_policy(policy)
         battery = (
             default_battery() if policy_obj.uses_esd else kwargs.pop("battery", None)

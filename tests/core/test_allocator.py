@@ -10,9 +10,9 @@ from repro.workloads.catalog import CATALOG
 
 
 @pytest.fixture(scope="module")
-def csets(config, power_model):
+def csets(config):
     return {
-        name: CandidateSet.from_models(CATALOG[name], config, power_model=power_model)
+        name: CandidateSet.from_models(CATALOG[name], config)
         for name in ("pagerank", "kmeans", "stream", "sssp")
     }
 

@@ -23,15 +23,15 @@ from repro.workloads.mixes import get_mix
 
 
 @pytest.fixture(scope="module")
-def oracle_sets(config, power_model):
+def oracle_sets(config):
     return {
-        name: CandidateSet.from_models(profile, config, power_model=power_model)
+        name: CandidateSet.from_models(profile, config)
         for name, profile in CATALOG.items()
     }
 
 
 @pytest.fixture(scope="module")
-def population(config, power_model):
+def population(config):
     import numpy as np
     from repro.learning.crossval import build_exhaustive_corpus
 

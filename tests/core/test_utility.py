@@ -17,19 +17,19 @@ from repro.workloads.catalog import CATALOG
 
 class TestCandidateSet:
     def test_from_models_covers_knob_space(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+        cset = CandidateSet.from_models(kmeans, config)
         assert len(cset.knobs) == len(config.knob_space())
         assert cset.perf_nocap == pytest.approx(
             power_model.perf_model.peak_rate(kmeans)
         )
 
     def test_min_max_power(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+        cset = CandidateSet.from_models(kmeans, config)
         assert cset.min_power_w == pytest.approx(power_model.min_app_power_w(kmeans))
         assert cset.max_power_w == pytest.approx(power_model.max_app_power_w(kmeans))
 
-    def test_best_index_under_budget(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_best_index_under_budget(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         idx = cset.best_index_under(15.0)
         assert idx is not None
         assert cset.power_w[idx] <= 15.0
@@ -37,8 +37,8 @@ class TestCandidateSet:
         feasible = cset.power_w <= 15.0
         assert cset.perf[idx] == pytest.approx(cset.perf[feasible].max())
 
-    def test_best_index_infeasible_budget(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_best_index_infeasible_budget(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         assert cset.best_index_under(1.0) is None
 
     def test_from_estimates_requires_positive_nocap(self, config):
@@ -46,39 +46,39 @@ class TestCandidateSet:
         with pytest.raises(ConfigurationError):
             CandidateSet.from_estimates("x", config, np.ones(n), np.zeros(n))
 
-    def test_subset(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_subset(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         sub = cset.subset([0, 5, 10])
         assert len(sub.knobs) == 3
         assert sub.perf_nocap == cset.perf_nocap
 
-    def test_index_of_missing_knob(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_index_of_missing_knob(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         sub = cset.subset([0])
         with pytest.raises(ConfigurationError):
             sub.index_of(config.max_knob)
 
-    def test_relative_perf_peaks_at_one(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_relative_perf_peaks_at_one(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         assert cset.relative_perf().max() == pytest.approx(1.0)
 
 
 class TestParetoEnvelope:
-    def test_frontier_is_smaller_than_space(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_frontier_is_smaller_than_space(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         frontier = pareto_envelope(cset)
         assert 2 <= len(frontier) < len(cset.knobs)
 
-    def test_frontier_sorted_by_power_and_perf(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_frontier_sorted_by_power_and_perf(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         frontier = pareto_envelope(cset)
         powers = [cset.power_w[i] for i in frontier]
         perfs = [cset.perf[i] for i in frontier]
         assert powers == sorted(powers)
         assert perfs == sorted(perfs)
 
-    def test_no_frontier_point_is_dominated(self, config, power_model, stream):
-        cset = CandidateSet.from_models(stream, config, power_model=power_model)
+    def test_no_frontier_point_is_dominated(self, config, stream):
+        cset = CandidateSet.from_models(stream, config)
         frontier = pareto_envelope(cset)
         for i in frontier:
             dominating = (cset.power_w < cset.power_w[i] - 1e-12) & (
@@ -87,9 +87,9 @@ class TestParetoEnvelope:
             assert not dominating.any()
 
     def test_frontier_contains_the_best_under_any_budget(
-        self, config, power_model, kmeans
+        self, config, kmeans
     ):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+        cset = CandidateSet.from_models(kmeans, config)
         frontier = set(pareto_envelope(cset))
         for budget in (10.0, 14.0, 18.0, 25.0):
             best = cset.best_index_under(budget)
@@ -104,21 +104,21 @@ class TestParetoEnvelope:
 
 
 class TestUtilityCurve:
-    def test_curve_is_monotone(self, config, power_model):
+    def test_curve_is_monotone(self, config):
         """Fig. 2: more budget never hurts."""
         for name in ("kmeans", "stream", "sssp"):
-            cset = CandidateSet.from_models(CATALOG[name], config, power_model=power_model)
+            cset = CandidateSet.from_models(CATALOG[name], config)
             curve = app_utility_curve(cset)
             values = list(curve.relative_perf)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_curve_reaches_one_at_full_demand(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_curve_reaches_one_at_full_demand(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         curve = app_utility_curve(cset)
         assert curve.relative_perf[-1] == pytest.approx(1.0)
 
-    def test_curve_zero_below_min_power(self, config, power_model, kmeans):
-        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+    def test_curve_zero_below_min_power(self, config, kmeans):
+        cset = CandidateSet.from_models(kmeans, config)
         curve = app_utility_curve(cset, budgets_w=[1.0, 5.0])
         assert curve.relative_perf == (0.0, 0.0)
 
@@ -134,12 +134,12 @@ class TestUtilityCurve:
         assert len(slopes) == 2
         assert slopes[0] == pytest.approx(0.04)
 
-    def test_curves_differ_across_apps(self, config, power_model):
+    def test_curves_differ_across_apps(self, config):
         """The premise of R1: utility curves differ between applications."""
         budgets = [10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
         curves = {}
         for name in ("pagerank", "x264"):
-            cset = CandidateSet.from_models(CATALOG[name], config, power_model=power_model)
+            cset = CandidateSet.from_models(CATALOG[name], config)
             curves[name] = app_utility_curve(cset, budgets).relative_perf
         assert curves["pagerank"] != curves["x264"]
 

@@ -1,16 +1,18 @@
-"""Differential testing: the vector engine is pinned to the scalar reference.
+"""Differential testing: the production path is pinned to the scalar reference.
 
-The vector fast path promises *bit-identical* behaviour - not "close", not
+The production servers run on surface-backed models that promise
+*bit-identical* behaviour to the scalar reference models - not "close", not
 "within tolerance": the same trace hash, the same metrics, the same final
-state tree. This suite enforces that promise three ways:
+state tree. Each run here happens twice, once on each kind of model (see
+:mod:`tests.engine.reference`), and the suite enforces the promise three
+ways:
 
 1. A fixed matrix of >= 25 seeded scenarios spanning every Table II regime:
    all fifteen mixes, every policy, learned and oracle estimation, ESD on
-   and off, fault injection, and each adversary kind. Each scenario runs
-   once per engine and the whole observable outcome must match exactly.
-2. A state-level check: mediators built from the same recipe under each
-   engine must end a run with *equal state_dicts* (the engine is
-   construction-time configuration, not state).
+   and off, fault injection, and each adversary kind. The whole observable
+   outcome of both runs must match exactly.
+2. A state-level check: mediators built from the same recipe on either
+   kind of model must end a run with *equal state_dicts*.
 3. A hypothesis fuzz layer that composes random app subsets, caps,
    policies, seeds, ESD, faults, and adversaries - so the pin does not
    quietly depend on the hand-picked matrix.
@@ -31,11 +33,12 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.observability.trace import TraceBus, summarize_trace, verify_trace
 from repro.persistence.checkpoint import RunRecipe
 from repro.workloads.mixes import get_mix
+from tests.engine.reference import server_models
 
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    """One seeded run both engines must reproduce identically."""
+    """One seeded run both kinds of model must reproduce identically."""
 
     name: str
     mix_id: int
@@ -138,7 +141,7 @@ def _matrix() -> list[Scenario]:
     # duty cycling (battery flows + deep-sleep residency), defense/trust
     # scoring, an adversary driving it, and optionally the fault classes.
     # These are the scenarios the MediatedFleet segment flush must survive
-    # wholesale, so the cross-engine pin covers each phase interacting.
+    # wholesale, so the differential pin covers each phase interacting.
     for i, kind in enumerate(ADVERSARY_KINDS):
         scenarios.append(
             Scenario(
@@ -188,7 +191,14 @@ def test_matrix_meets_the_acceptance_floor():
 
 def _run(scenario: Scenario, engine: str):
     bus = TraceBus()
-    result = run_mix_experiment(
+    with server_models(engine):
+        result = _run_mix(scenario, bus)
+    verify_trace(bus.events)
+    return result, summarize_trace(bus.events)
+
+
+def _run_mix(scenario: Scenario, bus: TraceBus):
+    return run_mix_experiment(
         list(get_mix(scenario.mix_id).profiles()),
         scenario.policy,
         scenario.p_cap_w,
@@ -210,10 +220,7 @@ def _run(scenario: Scenario, engine: str):
             )
         ),
         trace_bus=bus,
-        engine=engine,
     )
-    verify_trace(bus.events)
-    return result, summarize_trace(bus.events)
 
 
 def _comparable_metrics(metrics: dict | None) -> dict | None:
@@ -244,19 +251,18 @@ def test_engines_are_trace_identical(scenario: Scenario):
 
 @pytest.mark.parametrize("seed", [0, 7, 23])
 def test_final_state_dicts_are_equal(seed: int):
-    """The engine must be invisible to the state tree: a run under either
-    engine ends in exactly the same mediator state (which is also what makes
-    cross-engine checkpoint restore legal)."""
+    """The model kind must be invisible to the state tree: a run on either
+    kind ends in exactly the same mediator state."""
     states = {}
+    recipe = RunRecipe(
+        policy="app+res+esd-aware",
+        p_cap_w=80.0,
+        use_oracle_estimates=True,
+        seed=seed,
+    )
     for engine in ("scalar", "vector"):
-        recipe = RunRecipe(
-            policy="app+res+esd-aware",
-            p_cap_w=80.0,
-            use_oracle_estimates=True,
-            seed=seed,
-            engine=engine,
-        )
-        mediator = recipe.build()
+        with server_models(engine):
+            mediator = recipe.build()
         for profile in get_mix(10).profiles():
             mediator.add_application(
                 profile.with_total_work(float("inf")), skip_overhead=True
@@ -264,40 +270,6 @@ def test_final_state_dicts_are_equal(seed: int):
         mediator.run_for(6.0)
         states[engine] = mediator.state_dict()
     assert states["vector"] == states["scalar"]
-
-
-def test_cross_engine_checkpoint_restore(tmp_path):
-    """A checkpoint written under one engine restores under the other and
-    continues bit-identically - state carries no engine residue."""
-    from repro.persistence.checkpoint import (
-        read_checkpoint,
-        restore_mediator,
-        write_checkpoint,
-    )
-
-    def build(engine: str):
-        recipe = RunRecipe(
-            policy="app+res-aware", p_cap_w=85.0, seed=5,
-            use_oracle_estimates=True, engine=engine,
-        )
-        mediator = recipe.build()
-        for profile in get_mix(3).profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
-        mediator.run_for(3.0)
-        return recipe, mediator
-
-    scalar_recipe, scalar_med = build("scalar")
-    path = write_checkpoint(tmp_path, scalar_med, scalar_recipe)
-    doc = read_checkpoint(path)
-    # Flip the recorded engine before restoring: the state must not care.
-    doc["recipe"]["engine"] = "vector"
-    resumed = restore_mediator(doc)
-    assert resumed.server.engine == "vector"
-    scalar_med.run_for(2.0)
-    resumed.run_for(2.0)
-    assert resumed.state_dict() == scalar_med.state_dict()
 
 
 # ----------------------------------------------------------------- fuzzing
@@ -339,7 +311,7 @@ def fuzzed_scenarios(draw) -> Scenario:
 def test_fuzzed_runs_are_trace_identical(scenario: Scenario):
     # Some fuzzed scenarios legitimately abort (e.g. an undefended policy
     # that cannot hold the cap against an aggressive adversary). That is
-    # still a differential property: both engines must fail identically.
+    # still a differential property: both runs must fail identically.
     from repro.errors import ReproError
 
     try:
@@ -374,7 +346,7 @@ def test_fuzzed_combined_regimes_end_in_equal_state(
 ):
     """The full planning stack at once - ESD duty cycling, deep sleep,
     defense scoring, an adversary, optionally faults - must leave *equal
-    state trees* under either engine, not just equal traces. This is the
+    state trees* on either kind of model, not just equal traces. This is the
     regime every batched phase of the mediated fast path replays, so the
     state-level pin here is what licenses the segment flush wholesale."""
     from repro.core.mediator import PowerMediator
@@ -384,8 +356,10 @@ def test_fuzzed_combined_regimes_end_in_equal_state(
     from repro.server.server import SimulatedServer
 
     def build_and_run(engine: str):
+        with server_models(engine):
+            server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0)
         mediator = PowerMediator(
-            SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0, engine=engine),
+            server,
             make_policy("app+res+esd-aware"),
             78.0,
             battery=default_battery(),

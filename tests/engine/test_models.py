@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.core.utility import CandidateSet
-from repro.engine import VectorPerformanceModel, VectorPowerModel, validate_engine
-from repro.errors import ConfigurationError
+from repro.engine import VectorPerformanceModel, VectorPowerModel
 from repro.server.config import DEFAULT_SERVER_CONFIG, KnobSetting, ServerConfig
 from repro.server.perf_model import PerformanceModel
 from repro.server.power_model import PowerModel
@@ -85,16 +85,13 @@ def test_off_grid_knobs_fall_back_to_the_scalar_path():
 def test_candidate_set_fast_path_matches_the_scalar_build():
     profile = CATALOG["pagerank"].with_total_work(float("inf"))
     config = DEFAULT_SERVER_CONFIG
-    scalar = CandidateSet.from_models(
-        profile, config, power_model=PowerModel(config, PerformanceModel(config))
-    )
-    vector = CandidateSet.from_models(
-        profile, config, power_model=VectorPowerModel(config)
-    )
-    assert vector.knobs == scalar.knobs
-    assert vector.power_w.tolist() == scalar.power_w.tolist()
-    assert vector.perf.tolist() == scalar.perf.tolist()
-    assert vector.perf_nocap == scalar.perf_nocap
+    s_perf = PerformanceModel(config)
+    s_power = PowerModel(config, s_perf)
+    cset = CandidateSet.from_models(profile, config)
+    assert cset.knobs == tuple(KNOBS)
+    assert cset.power_w.tolist() == [s_power.app_power_w(profile, k) for k in KNOBS]
+    assert cset.perf.tolist() == [s_perf.rate(profile, k) for k in KNOBS]
+    assert cset.perf_nocap == s_perf.peak_rate(profile)
 
 
 def test_surface_cache_shares_grids_but_not_profile_surfaces():
@@ -109,14 +106,34 @@ def test_surface_cache_shares_grids_but_not_profile_surfaces():
     assert c is not a
 
 
-def test_engine_validation_and_server_wiring():
-    assert validate_engine("scalar") == "scalar"
-    assert validate_engine("vector") == "vector"
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        validate_engine("warp")
-    server = SimulatedServer(engine="vector")
-    assert server.engine == "vector"
-    assert isinstance(server._perf, VectorPerformanceModel)
-    assert SimulatedServer().engine == "scalar"
-    # The engine is construction-time configuration, never state.
-    assert "engine" not in server.state_dict()
+def test_production_servers_carry_the_surface_backed_models():
+    server = SimulatedServer()
+    assert type(server.perf_model) is VectorPerformanceModel
+    assert type(server.power_model) is VectorPowerModel
+    assert server.power_model.perf_model is server.perf_model
+    # The models are pure functions of the config, never state.
+    assert "perf_model" not in server.state_dict()
+
+
+def test_the_engine_flag_is_gone_from_the_cli(capsys):
+    assert main(["mix", "--engine", "vector"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --engine vector\n"
+
+
+def test_the_reference_helper_swaps_in_the_scalar_models():
+    """The differential suites are only as good as this switch: inside the
+    scalar block every new server runs the plain scalar models."""
+    from tests.engine.reference import model_kind, server_models
+
+    with server_models("scalar"):
+        reference = SimulatedServer()
+    with server_models("vector"):
+        production = SimulatedServer()
+    assert model_kind(reference) == "scalar"
+    assert not isinstance(reference.power_model, VectorPowerModel)
+    assert model_kind(production) == "vector"
+    assert model_kind(SimulatedServer()) == "vector"
+    with pytest.raises(ValueError):
+        with server_models("warp"):
+            pass

@@ -14,7 +14,7 @@ layers enforce it here:
    if a numpy release ever pairwise-sums these, this file fails first.
 2. **Fleet-vs-loop differentials**: seeded scenarios spanning the regimes
    the fast path replays (SPACE allocation, ESD duty cycling, defense on
-   and off, both engines, mid-run cap changes, app completion, fractional
+   and off, both kinds of server model, mid-run cap changes, app completion, fractional
    durations) plus a hypothesis fuzz layer. Equality is ``==`` on state
    dicts, metrics and the tick timeline.
 
@@ -39,6 +39,7 @@ from repro.observability.trace import TraceBus
 from repro.server.config import DEFAULT_SERVER_CONFIG
 from repro.server.server import SimulatedServer
 from repro.workloads.mixes import get_mix
+from tests.engine.reference import server_models
 
 # ------------------------------------------------------------------ kernels
 
@@ -103,8 +104,10 @@ def _build(
     trace_bus: TraceBus | None = None,
 ) -> PowerMediator:
     policy_obj = make_policy(policy)
+    with server_models(engine):
+        server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0)
     mediator = PowerMediator(
-        SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0, engine=engine),
+        server,
         policy_obj,
         cap,
         battery=default_battery() if policy_obj.uses_esd else None,

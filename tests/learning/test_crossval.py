@@ -34,6 +34,36 @@ class TestCorpusBuilding:
         )
         assert (a.power_row("kmeans") == b.power_row("kmeans")).all()
 
+    @pytest.mark.parametrize(
+        "power_std, perf_std", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.05), (0.5, 0.05), (8.0, 1.5)]
+    )
+    def test_corpus_equals_a_knob_by_knob_scalar_pass(
+        self, config, perf_model, power_model, power_std, perf_std
+    ):
+        """The surface-backed corpus is bit-identical to profiling every knob
+        through the scalar models, noise included: one draw per cell in
+        column order, power before perf, clipped at zero (the large-noise
+        case clips)."""
+        profiles = [CATALOG["kmeans"], CATALOG["stream"]]
+        corpus = build_exhaustive_corpus(
+            config, profiles, power_noise_std_w=power_std,
+            perf_noise_relative_std=perf_std, seed=4,
+        )
+        rng = np.random.default_rng(4)
+        for profile in profiles:
+            power_row, perf_row = [], []
+            for knob in config.knob_space():
+                power = power_model.app_power_w(profile, knob)
+                perf = perf_model.rate(profile, knob)
+                if power_std > 0:
+                    power = max(0.0, power + float(rng.normal(0.0, power_std)))
+                if perf_std > 0:
+                    perf = max(0.0, perf * (1.0 + float(rng.normal(0.0, perf_std))))
+                power_row.append(power)
+                perf_row.append(perf)
+            assert corpus.power_row(profile.name).tolist() == power_row
+            assert corpus.perf_row(profile.name).tolist() == perf_row
+
     def test_empty_profiles_rejected(self, config):
         with pytest.raises(ConfigurationError):
             build_exhaustive_corpus(config, [])

@@ -59,6 +59,26 @@ class TestObservation:
         with pytest.raises(ConfigurationError):
             matrix.observe("a", config.max_knob, power_w=-1.0, perf=1.0)
 
+    def test_observe_row(self, matrix):
+        matrix.add_app("a")
+        power = np.arange(matrix.n_columns, dtype=float)
+        matrix.observe_row("a", power_w=power, perf=2.0 * power)
+        assert matrix.row_observation_count("a") == matrix.n_columns
+        assert matrix.perf_row("a").tolist() == (2.0 * power).tolist()
+
+    def test_observe_row_rejects_bad_rows(self, matrix):
+        matrix.add_app("a")
+        row = np.ones(matrix.n_columns)
+        with pytest.raises(LearningError):
+            matrix.observe_row("a", power_w=row[:-1], perf=row)
+        with pytest.raises(LearningError):
+            matrix.observe_row("ghost", power_w=row, perf=row)
+        negative = row.copy()
+        negative[7] = -0.5
+        with pytest.raises(ConfigurationError):
+            matrix.observe_row("a", power_w=row, perf=negative)
+        assert matrix.row_observation_count("a") == 0
+
     def test_overwrite_observation(self, matrix, config):
         matrix.add_app("a")
         matrix.observe("a", config.max_knob, power_w=1.0, perf=1.0)

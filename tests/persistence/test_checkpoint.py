@@ -143,6 +143,7 @@ def test_missing_file_is_one_line(tmp_path):
         (lambda r: r.update(use_battery="yes"), "recipe.use_battery"),
         (lambda r: r.update(faults={"seed": 0, "faults": [{"kind": "gremlin"}]}), "recipe.faults"),
         (lambda r: r.update(resilience={"bogus_knob": 1}), "recipe.resilience.bogus_knob"),
+        (lambda r: r.update(engine="warp"), "recipe.engine"),
     ],
 )
 def test_recipe_validation_names_offending_field(stream, kmeans, mutate, fragment):
@@ -158,6 +159,30 @@ def test_recipe_validation_names_offending_field(stream, kmeans, mutate, fragmen
 def test_recipe_round_trip(stream, kmeans):
     recipe, _ = _recipe_and_script(stream, kmeans, seed=7)
     assert RunRecipe.from_dict(recipe.to_dict()) == recipe
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_recipe_accepts_the_legacy_engine_key(stream, kmeans, engine):
+    recipe, _ = _recipe_and_script(stream, kmeans)
+    assert "engine" not in recipe.to_dict()
+    assert RunRecipe.from_dict({**recipe.to_dict(), "engine": engine}) == recipe
+
+
+def test_legacy_engine_checkpoint_restores_and_continues(tmp_path, stream, kmeans):
+    """A checkpoint in the older format, whose recipe names the server-model
+    implementation (``"engine": "scalar"``), restores and then continues
+    bit-identically to the run that was never interrupted."""
+    recipe, uninterrupted = _started_mediator(stream, kmeans)
+    path = write_checkpoint(tmp_path, uninterrupted, recipe)
+    doc = json.loads(path.read_text())
+    doc["recipe"]["engine"] = "scalar"
+    path.write_text(json.dumps(doc))
+    resumed = restore_mediator(read_checkpoint(path))
+    for _ in range(25):
+        uninterrupted.step()
+        resumed.step()
+    assert resumed.state_dict() == uninterrupted.state_dict()
+    assert resumed.timeline == uninterrupted.timeline
 
 
 def test_state_not_matching_recipe_is_one_line(tmp_path, stream, kmeans):

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from repro.core.allocator import PowerAllocator
 from repro.core.utility import CandidateSet
 from repro.server.config import ServerConfig
-from repro.server.power_model import PowerModel
 from repro.workloads.catalog import CATALOG
 
 _CONFIG = ServerConfig()
-_POWER = PowerModel(_CONFIG)
 _CSETS = {
-    name: CandidateSet.from_models(profile, _CONFIG, power_model=_POWER)
+    name: CandidateSet.from_models(profile, _CONFIG)
     for name, profile in CATALOG.items()
 }
 _NAMES = sorted(_CSETS)

@@ -92,7 +92,7 @@ class TestQualitativeCalibration:
         slow = perf_model.rate(x264, KnobSetting(1.4, 6, 10.0))
         assert slow / many_cores > 0.8  # losing frequency tolerable
 
-    def test_pagerank_steeper_than_kmeans_at_margin(self, power_model, config):
+    def test_pagerank_steeper_than_kmeans_at_margin(self, config):
         """Fig. 9a: PageRank's utility per watt exceeds kmeans' around the
         mix-10 operating point, driving the 55-45 split."""
         from repro.core.utility import CandidateSet, app_utility_curve
@@ -100,7 +100,7 @@ class TestQualitativeCalibration:
         budgets = [13.0, 14.0, 15.0, 16.0, 17.0]
         slopes = {}
         for name in ("pagerank", "kmeans"):
-            cset = CandidateSet.from_models(CATALOG[name], config, power_model=power_model)
+            cset = CandidateSet.from_models(CATALOG[name], config)
             curve = app_utility_curve(cset, budgets)
             slopes[name] = curve.relative_perf[-1] - curve.relative_perf[0]
         assert slopes["pagerank"] > slopes["kmeans"]
