@@ -84,7 +84,8 @@ def evaluate_equal_policy_bin(
             experiment.
 
     Raises:
-        ConfigurationError: for unknown strategies.
+        ConfigurationError: for unknown strategies, or ``loaded_powers_w``
+            not aligned with ``mixes``.
     """
     try:
         server_policy = _SERVER_POLICY_OF[cluster_policy]
@@ -93,6 +94,11 @@ def evaluate_equal_policy_bin(
             f"unknown equal-split strategy {cluster_policy!r}; "
             f"expected one of {sorted(_SERVER_POLICY_OF)}"
         ) from None
+    if loaded_powers_w is not None and len(loaded_powers_w) != len(mixes):
+        raise ConfigurationError(
+            f"loaded_powers_w has {len(loaded_powers_w)} entries for "
+            f"{len(mixes)} mixes; need one uncapped draw per mix"
+        )
     total_perf = 0.0
     total_power = 0.0
     for idx, mix in enumerate(mixes):

@@ -74,12 +74,40 @@ from repro.learning.sampling import Sampler, StratifiedSampler
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiling import PhaseProfiler
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
-from repro.server.config import KnobSetting
+from repro.server.config import KnobSetting, ServerConfig
 from repro.server.rapl import energy_delta_j
 from repro.server.server import ApplicationHandle, SimulatedServer
 from repro.workloads.catalog import CATALOG
 from repro.workloads.generator import PhasedProfile
 from repro.workloads.profiles import WorkloadProfile
+
+
+#: The default learning corpus and its trained estimator, shared per config
+#: (keyed like the engine's grids): every mediator built without ``corpus=``
+#: reads the same frozen matrix, and the estimator's fold-in only reads its
+#: trained factors, so no mediator can change what another one learns from.
+_DEFAULT_CORPORA: dict[ServerConfig, PreferenceMatrix] = {}
+_DEFAULT_ESTIMATORS: dict[ServerConfig, CollaborativeEstimator] = {}
+
+
+def _default_corpus(config: ServerConfig) -> PreferenceMatrix:
+    """The exhaustive, noiseless catalog corpus of ``config`` (built once)."""
+    corpus = _DEFAULT_CORPORA.get(config)
+    if corpus is None:
+        corpus = build_exhaustive_corpus(config, list(CATALOG.values()))
+        corpus.freeze()
+        _DEFAULT_CORPORA[config] = corpus
+    return corpus
+
+
+def _default_estimator(config: ServerConfig) -> CollaborativeEstimator:
+    """The estimator trained on :func:`_default_corpus` (trained once)."""
+    estimator = _DEFAULT_ESTIMATORS.get(config)
+    if estimator is None:
+        estimator = CollaborativeEstimator()
+        estimator.train(_default_corpus(config))
+        _DEFAULT_ESTIMATORS[config] = estimator
+    return estimator
 
 
 @dataclass(frozen=True)
@@ -214,8 +242,10 @@ class PowerMediator:
         p_cap_w: Initial power cap (E1 messages can change it later).
         battery: The server's ESD; required by ESD-aware policies.
         corpus: Previously-seen-application matrices; defaults to an
-            exhaustive profiling of the full catalog *excluding* nothing -
-            experiments studying cold-start can pass their own.
+            exhaustive profiling of the full catalog *excluding* nothing,
+            shared read-only (with its trained estimator) by every mediator
+            on the same config - experiments studying cold-start can pass
+            their own, and the mediator then trains its own estimator.
         sampler: Online sampling strategy for calibration (default:
             stratified at the paper's 10%).
         use_oracle_estimates: Bypass the learning pipeline and hand policies
@@ -286,11 +316,8 @@ class PowerMediator:
             self.attach_trace_bus(trace_bus)
         self._accountant.notify_cap_change(p_cap_w)
 
-        self._corpus = (
-            corpus
-            if corpus is not None
-            else build_exhaustive_corpus(server.config, list(CATALOG.values()))
-        )
+        self._shared_learning = corpus is None
+        self._corpus = corpus if corpus is not None else _default_corpus(server.config)
         #: Optional fleet-wide cache of oracle CandidateSets, keyed by
         #: (profile, config, width-restriction). CandidateSet construction is
         #: pure and deterministic, so identical servers running the same
@@ -1457,8 +1484,11 @@ class PowerMediator:
 
     def _get_estimator(self) -> CollaborativeEstimator:
         if self._estimator is None:
-            self._estimator = CollaborativeEstimator()
-            self._estimator.train(self._corpus)
+            if self._shared_learning:
+                self._estimator = _default_estimator(self._server.config)
+            else:
+                self._estimator = CollaborativeEstimator()
+                self._estimator.train(self._corpus)
         return self._estimator
 
     def _get_population(self) -> CandidateSet:

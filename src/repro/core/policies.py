@@ -120,7 +120,7 @@ def hardware_enforce(
     effective = budget_w * (1.0 - config.rapl_guard_band)
     # Applications admitted with narrow core groups expose a subset of the
     # knob space; path knobs outside it simply do not exist for them.
-    available = [k for k in hardware_throttle_path(config) if k in oracle.knobs]
+    available = [k for k in hardware_throttle_path(config) if k in oracle]
     for knob in available:
         idx = oracle.index_of(knob)
         if oracle.power_w[idx] <= effective + 1e-9:
@@ -140,7 +140,7 @@ def _path_candidates(cset: CandidateSet, config: ServerConfig) -> CandidateSet:
     order, so index 0 is the uncapped end). Path knobs outside the set -
     possible for narrow-group applications - are skipped."""
     return cset.subset(
-        [cset.index_of(k) for k in hardware_throttle_path(config) if k in cset.knobs]
+        [cset.index_of(k) for k in hardware_throttle_path(config) if k in cset]
     )
 
 
@@ -366,7 +366,7 @@ class ServerResAwarePolicy(Policy):
                 # (the policy cannot know) or lie outside a narrow-group
                 # app's knob subset; hardware trims it down the path.
                 if (
-                    generic_knob not in oracle.knobs
+                    generic_knob not in oracle
                     or oracle.power_w[oracle.index_of(generic_knob)] > share + 1e-9
                 ):
                     knob = hardware_enforce(oracle, ctx.config, share)
@@ -396,7 +396,7 @@ class ServerResAwarePolicy(Policy):
             if full_idx is not None:
                 candidate = ctx.population.knobs[full_idx]
                 if (
-                    candidate in oracle.knobs
+                    candidate in oracle
                     and oracle.power_w[oracle.index_of(candidate)] <= budget + 1e-9
                 ):
                     knob = candidate

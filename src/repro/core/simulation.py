@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.core.mediator import PowerMediator
 from repro.core.policies import Policy, make_policy
 from repro.core.resilience import FaultStats, ResilienceConfig
+from repro.engine.planner import MediatedFleet
 from repro.observability.trace import TraceBus
 from repro.esd.battery import LeadAcidBattery
 from repro.faults.plan import FaultPlan
@@ -192,7 +193,10 @@ def run_mix_experiment(
         mediator.add_application(
             profile.with_total_work(float("inf")), skip_overhead=True
         )
-    mediator.run_for(warmup_s + duration_s)
+    # The horizon planner replays steady stretches in closed form and falls
+    # back to scalar ticks for everything else (faults, adversaries, an
+    # attached trace), so the run is bit-identical to mediator.run_for.
+    MediatedFleet([mediator]).run_for(warmup_s + duration_s)
     return summarize_mix_run(mediator, apps, warmup_s=warmup_s, mix_id=mix_id)
 
 

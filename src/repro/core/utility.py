@@ -18,11 +18,12 @@ Three related constructs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.engine.models import VectorPowerModel
-from repro.engine.surface import grid_for
+from repro.engine.surface import ConfigGrid, grid_for
 from repro.errors import ConfigurationError
 from repro.server.config import KnobSetting, ServerConfig
 from repro.workloads.profiles import WorkloadProfile
@@ -56,17 +57,34 @@ class CandidateSet:
             raise ConfigurationError("perf_nocap must be positive")
 
     @classmethod
+    def _on_grid(
+        cls,
+        grid: ConfigGrid,
+        app: str,
+        power_w: np.ndarray,
+        perf: np.ndarray,
+        perf_nocap: float,
+    ) -> "CandidateSet":
+        """A set over the grid's whole knob space, sharing its knob index."""
+        cset = cls(
+            app=app, knobs=grid.knobs, power_w=power_w, perf=perf, perf_nocap=perf_nocap
+        )
+        cset.__dict__["_positions"] = grid.index  # seeds the cached_property
+        return cset
+
+    @classmethod
     def from_models(cls, profile: WorkloadProfile, config: ServerConfig) -> "CandidateSet":
         """Oracle candidate set from the true response models: the columns
         of the profile's cached response surface (:mod:`repro.engine.surface`),
         bitwise equal to the scalar models at every knob."""
-        surface = grid_for(config).surface(profile)
-        return cls(
-            app=profile.name,
-            knobs=surface.knobs,
-            power_w=surface.app_power_w.copy(),
-            perf=surface.rate.copy(),
-            perf_nocap=float(surface.peak_rate),
+        grid = grid_for(config)
+        surface = grid.surface(profile)
+        return cls._on_grid(
+            grid,
+            profile.name,
+            surface.app_power_w.copy(),
+            surface.rate.copy(),
+            float(surface.peak_rate),
         )
 
     @classmethod
@@ -82,19 +100,18 @@ class CandidateSet:
         ``perf_nocap`` is taken as the estimate at the uncapped knob (which
         the stratified sampler always measures, so it is typically exact).
         """
-        knobs = tuple(config.knob_space())
-        if len(power_w) != len(knobs) or len(perf) != len(knobs):
+        grid = grid_for(config)
+        if len(power_w) != len(grid.knobs) or len(perf) != len(grid.knobs):
             raise ConfigurationError("estimate arrays must cover the knob space")
-        nocap_idx = knobs.index(config.max_knob)
-        nocap = float(perf[nocap_idx])
+        nocap = float(perf[grid.max_index])
         if nocap <= 0:
             raise ConfigurationError(f"estimated uncapped performance of {app!r} is zero")
-        return cls(
-            app=app,
-            knobs=knobs,
-            power_w=np.asarray(power_w, dtype=float),
-            perf=np.asarray(perf, dtype=float),
-            perf_nocap=nocap,
+        return cls._on_grid(
+            grid,
+            app,
+            np.asarray(power_w, dtype=float),
+            np.asarray(perf, dtype=float),
+            nocap,
         )
 
     def to_dict(self) -> dict:
@@ -161,6 +178,14 @@ class CandidateSet:
             perf_nocap=nocap,
         )
 
+    @cached_property
+    def _positions(self) -> dict[KnobSetting, int]:
+        """Knob -> index map, built on first lookup."""
+        return {knob: i for i, knob in enumerate(self.knobs)}
+
+    def __contains__(self, knob: KnobSetting) -> bool:
+        return knob in self._positions
+
     def index_of(self, knob: KnobSetting) -> int:
         """Index of a knob within this set.
 
@@ -168,8 +193,8 @@ class CandidateSet:
             ConfigurationError: when the knob is not present.
         """
         try:
-            return self.knobs.index(knob)
-        except ValueError:
+            return self._positions[knob]
+        except KeyError:
             raise ConfigurationError(f"{knob} is not in this candidate set") from None
 
     def best_index_under(self, budget_w: float) -> int | None:

@@ -39,6 +39,7 @@ class PreferenceMatrix:
         self._row_index: dict[str, int] = {}
         self._power = np.empty((0, len(self._columns)))
         self._perf = np.empty((0, len(self._columns)))
+        self._frozen = False
 
     # ------------------------------------------------------------ structure
 
@@ -76,12 +77,28 @@ class PreferenceMatrix:
 
     # ------------------------------------------------------------ mutation
 
+    def freeze(self) -> None:
+        """Make the matrix read-only, for sharing it between mediators.
+
+        Afterwards :meth:`add_app`, :meth:`observe` and :meth:`observe_row`
+        raise, and both planes are non-writeable arrays.
+        """
+        self._frozen = True
+        self._power.flags.writeable = False
+        self._perf.flags.writeable = False
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise LearningError("this preference matrix is frozen (shared read-only)")
+
     def add_app(self, app: str) -> None:
         """Add an empty (all-unobserved) row.
 
         Raises:
-            LearningError: if the app already has a row.
+            LearningError: if the app already has a row, or the matrix is
+                frozen.
         """
+        self._check_mutable()
         if app in self._row_index:
             raise LearningError(f"application {app!r} already has a row")
         self._row_index[app] = len(self._rows)
@@ -96,9 +113,10 @@ class PreferenceMatrix:
         """Record one measurement (overwrites a prior one at the same cell).
 
         Raises:
-            LearningError: for unknown apps/knobs.
+            LearningError: for unknown apps/knobs, or a frozen matrix.
             ConfigurationError: for negative observations.
         """
+        self._check_mutable()
         if power_w < 0 or perf < 0:
             raise ConfigurationError("observations must be non-negative")
         row = self._row_of(app)
@@ -110,9 +128,11 @@ class PreferenceMatrix:
         """Record one measurement per column of ``app``'s row at once.
 
         Raises:
-            LearningError: for unknown apps or rows of the wrong length.
+            LearningError: for unknown apps, rows of the wrong length, or a
+                frozen matrix.
             ConfigurationError: for negative observations.
         """
+        self._check_mutable()
         row = self._row_of(app)
         if len(power_w) != self.n_columns or len(perf) != self.n_columns:
             raise LearningError(f"a row of {app!r} needs {self.n_columns} observations")

@@ -32,7 +32,6 @@ configuration of an application needs about 10 W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import ConfigurationError, KnobError
 from repro.units import frange
@@ -227,20 +226,19 @@ class ServerConfig:
         This is the column space of the collaborative-filtering preference
         matrices; its order must be stable across runs, so it is defined once
         here (f-major, then n, then m: 9 x 6 x 8 = 432 columns by default).
+        The knobs are built once per config; each call returns a fresh list,
+        so callers may mutate their copy.
         """
-        return [
-            KnobSetting(f, n, m)
-            for f in self.frequencies_ghz
-            for n in self.core_counts
-            for m in self.dram_powers_w
-        ]
-
-    def iter_knob_space(self) -> Iterator[KnobSetting]:
-        """Lazy variant of :meth:`knob_space`."""
-        for f in self.frequencies_ghz:
-            for n in self.core_counts:
-                for m in self.dram_powers_w:
-                    yield KnobSetting(f, n, m)
+        knobs = _KNOB_SPACES.get(self)
+        if knobs is None:
+            knobs = tuple(
+                KnobSetting(f, n, m)
+                for f in self.frequencies_ghz
+                for n in self.core_counts
+                for m in self.dram_powers_w
+            )
+            _KNOB_SPACES[self] = knobs
+        return list(knobs)
 
     @property
     def max_knob(self) -> KnobSetting:
@@ -285,6 +283,10 @@ class ServerConfig:
         """
         return p_cap_w - self.p_idle_w - self.p_cm_w
 
+
+#: Knob spaces cached per config, like the engine's grids: every run on one
+#: configuration shares one tuple of knobs.
+_KNOB_SPACES: dict[ServerConfig, tuple[KnobSetting, ...]] = {}
 
 #: The paper's platform, used by every experiment unless overridden.
 DEFAULT_SERVER_CONFIG = ServerConfig()

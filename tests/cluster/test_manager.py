@@ -27,6 +27,20 @@ class TestEqualPolicyBin:
         assert evaluation.aggregate_perf == pytest.approx(4.0)
         assert cache == {}  # nothing simulated
 
+    @pytest.mark.parametrize("powers", [[108.0], [108.0, 110.0, 112.0]])
+    def test_loaded_powers_must_align_with_mixes(self, config, powers):
+        cache = {}
+        with pytest.raises(ConfigurationError, match=rf"{len(powers)} entries for 2 mixes"):
+            evaluate_equal_policy_bin(
+                "equal-rapl",
+                all_mixes()[:2],
+                130.0,
+                config=config,
+                cache=cache,
+                loaded_powers_w=powers,
+            )
+        assert cache == {}
+
     def test_sub_idle_cap_parks_at_idle(self, config):
         cache = {}
         evaluation = evaluate_equal_policy_bin(

@@ -7,10 +7,11 @@ both the scalar reference and the vector fast path.
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError, LearningError, SchedulingError
 from repro.core.coordinator import CoordinationMode
 from repro.core.mediator import PowerMediator
 from repro.core.policies import make_policy
+from repro.learning.crossval import build_exhaustive_corpus
 from repro.server.server import SimulatedServer
 from repro.workloads.catalog import CATALOG
 from repro.workloads.generator import PhasedProfile
@@ -185,3 +186,39 @@ class TestLearningPath:
             m.add_application(kmeans, skip_overhead=True)
             m.run_for(5.0)
         assert learned.server_objective() > 0.85 * oracle.server_objective()
+
+
+class TestSharedLearning:
+    """The default corpus and its estimator are built once per config."""
+
+    @staticmethod
+    def _learning_mediator(config, **kwargs) -> PowerMediator:
+        mediator = PowerMediator(
+            SimulatedServer(config), make_policy("app+res-aware"), 100.0, **kwargs
+        )
+        mediator.add_application(CATALOG["kmeans"], skip_overhead=True)
+        return mediator
+
+    def test_default_mediators_share_one_frozen_corpus(self, config):
+        first = self._learning_mediator(config)
+        second = self._learning_mediator(config)
+        corpus = first._corpus
+        assert second._corpus is corpus
+        with pytest.raises(LearningError):
+            corpus.add_app("intruder")
+        with pytest.raises(LearningError):
+            corpus.observe("kmeans", config.max_knob, power_w=1.0, perf=1.0)
+        assert "intruder" not in corpus
+
+    def test_default_mediators_share_one_estimator(self, config):
+        first = self._learning_mediator(config)
+        second = self._learning_mediator(config)
+        assert first._get_estimator() is second._get_estimator()
+
+    def test_own_corpus_trains_its_own_estimator(self, config):
+        corpus = build_exhaustive_corpus(config, list(CATALOG.values()))
+        shared = self._learning_mediator(config)
+        own = self._learning_mediator(config, corpus=corpus)
+        assert own._corpus is corpus
+        assert own._get_estimator() is not shared._get_estimator()
+        corpus.add_app("still-mutable")  # a caller's corpus is left as given

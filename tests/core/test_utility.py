@@ -58,6 +58,18 @@ class TestCandidateSet:
         with pytest.raises(ConfigurationError):
             sub.index_of(config.max_knob)
 
+    def test_index_of_matches_knob_positions(self, config, kmeans):
+        full = CandidateSet.from_models(kmeans, config)
+        n = len(full.knobs)
+        estimated = CandidateSet.from_estimates("x", config, np.ones(n), np.ones(n))
+        sub = full.subset([7, 3, 11])
+        for cset in (full, estimated, sub):
+            for i, knob in enumerate(cset.knobs):
+                assert knob in cset
+                assert cset.index_of(knob) == i
+        assert config.max_knob not in sub
+        assert estimated.knobs == tuple(config.knob_space())
+
     def test_relative_perf_peaks_at_one(self, config, kmeans):
         cset = CandidateSet.from_models(kmeans, config)
         assert cset.relative_perf().max() == pytest.approx(1.0)

@@ -111,3 +111,30 @@ class TestMasks:
         row = matrix.power_row("a")
         row[:] = 0.0
         assert matrix.power_row("a")[matrix.column_of(config.max_knob)] == 5.0
+
+
+class TestFreeze:
+    def test_frozen_matrix_refuses_mutation(self, matrix, config):
+        matrix.add_app("a")
+        matrix.observe("a", config.max_knob, power_w=5.0, perf=1.0)
+        matrix.freeze()
+        with pytest.raises(LearningError):
+            matrix.add_app("b")
+        with pytest.raises(LearningError):
+            matrix.observe("a", config.min_knob, power_w=1.0, perf=1.0)
+        with pytest.raises(LearningError):
+            matrix.observe_row(
+                "a",
+                power_w=np.ones(matrix.n_columns),
+                perf=np.ones(matrix.n_columns),
+            )
+        assert matrix.apps == ["a"]
+        assert matrix.row_observation_count("a") == 1
+
+    def test_frozen_planes_are_read_only_but_copies_are_not(self, matrix, config):
+        matrix.add_app("a")
+        matrix.freeze()
+        with pytest.raises(ValueError):
+            matrix._power[0, 0] = 1.0
+        row = matrix.power_row("a")
+        row[:] = 0.0  # callers own their copies

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError, KnobError
 from repro.server.config import DEFAULT_SERVER_CONFIG, KnobSetting, ServerConfig
 
@@ -40,7 +41,10 @@ class TestKnobSpace:
 
     def test_knob_space_order_is_stable(self, config):
         assert config.knob_space() == config.knob_space()
-        assert config.knob_space() == list(config.iter_knob_space())
+        space = config.knob_space()
+        assert space == list(grid_for(config).knobs)
+        space.clear()  # callers own their copy
+        assert config.knob_space() == list(grid_for(config).knobs)
 
     def test_max_and_min_knobs_are_members(self, config):
         space = config.knob_space()
