@@ -5,9 +5,9 @@ Two views of the lease/epoch control plane:
 * a severity matrix (loss x partition length) on a small cluster, reporting
   the aggregate performance each equal-split strategy retains relative to
   the oracle (instant, lossless, omniscient) cap distribution;
-* a chaos severity sweep on the control plane alone, reporting the budget
-  headroom and message accounting across seeded loss/partition/kill
-  schedules.
+* a chaos severity sweep on the control plane alone - the one-level,
+  10-server budget tree - reporting the budget headroom and message
+  accounting across seeded loss/partition/kill schedules.
 
 The invariant the whole subsystem exists for - the sum of effective node
 caps never exceeds the cluster budget - is enforced inside every run; these
@@ -20,7 +20,7 @@ caps on silent nodes and lease latency on reclamation.
 import pytest
 
 from repro.analysis.reporting import banner, format_table
-from repro.chaos import run_partition_chaos
+from repro.chaos import run_hierarchy_chaos
 from repro.cluster.cluster import ClusterSimulator
 from repro.netsim import NetConfig, PartitionWindow
 from repro.observability.metrics import MetricsRegistry
@@ -28,6 +28,9 @@ from repro.workloads.mixes import all_mixes
 from repro.workloads.traces import ClusterPowerTrace
 
 SHAVE = 0.30
+
+#: The flat 10-server cluster, as the one-level budget tree.
+FLAT_CLUSTER = dict(fanouts=(10,), budget_w=800.0)
 
 # (label, loss, partition windows) - none / short cut / long double cut.
 SEVERITIES = (
@@ -80,7 +83,9 @@ def test_severity_matrix_perf_retention(benchmark, small_cluster, emit, bench_me
                  f"{retained[(label, policy)]:.0%}"]
             )
     bench_metrics.record(metrics.to_json())
-    result = benchmark(lambda: run_partition_chaos(seed=1, n_steps=80))
+    result = benchmark(
+        lambda: run_hierarchy_chaos(seed=1, n_steps=80, **FLAT_CLUSTER)
+    )
     emit("\n" + banner("Partition resilience: perf retained vs oracle distribution"))
     emit(
         format_table(
@@ -99,15 +104,20 @@ def test_severity_matrix_perf_retention(benchmark, small_cluster, emit, bench_me
 
 
 def test_chaos_severity_sweep_headroom(benchmark, emit, bench_metrics):
-    metrics = MetricsRegistry()
-    runs = [
-        run_partition_chaos(
-            seed=seed, n_steps=100, loss=loss, metrics=metrics
+    runs, registries = [], []
+    for seed, loss in ((0, 0.0), (1, 0.1), (2, 0.2), (3, 0.3)):
+        metrics = MetricsRegistry()
+        runs.append(
+            run_hierarchy_chaos(
+                seed=seed, n_steps=100, loss=loss, metrics=metrics,
+                **FLAT_CLUSTER,
+            )
         )
-        for seed, loss in ((0, 0.0), (1, 0.1), (2, 0.2), (3, 0.3))
-    ]
-    bench_metrics.record(metrics.to_json())
-    benchmark(lambda: run_partition_chaos(seed=5, n_steps=60, loss=0.2))
+        registries.append(metrics)
+        bench_metrics.record(metrics.to_json())
+    benchmark(
+        lambda: run_hierarchy_chaos(seed=5, n_steps=60, loss=0.2, **FLAT_CLUSTER)
+    )
     emit("\n" + banner("Partition chaos sweep: budget headroom under escalation"))
     rows = [
         [
@@ -116,22 +126,22 @@ def test_chaos_severity_sweep_headroom(benchmark, emit, bench_metrics):
             run.partition_steps,
             run.killed_node_steps,
             run.headroom_w,
-            run.outcome.final_epoch,
-            run.outcome.net_stats["dropped_loss"]
-            + run.outcome.net_stats["dropped_partition"],
+            run.restarts,
+            metrics.counter("netsim.dropped_loss").value
+            + metrics.counter("netsim.dropped_partition").value,
         ]
-        for run in runs
+        for run, metrics in zip(runs, registries)
     ]
     emit(
         format_table(
             ["seed", "loss", "cut node-steps", "dead node-steps",
-             "headroom [W]", "epochs", "drops"],
+             "headroom [W]", "restarts", "drops"],
             rows,
         )
     )
-    # Every schedule survived with the invariant intact and converged clean.
+    # Every schedule survived with the invariant intact and converged clean
+    # (run_hierarchy_chaos raises ChaosError on a breach or a zombie lease).
     assert all(run.headroom_w >= 0.0 for run in runs)
-    assert all(run.outcome.zombie_free for run in runs)
     # Escalating loss costs real messages - the sweep is not a no-op.
-    assert runs[-1].outcome.net_stats["dropped_loss"] > 0
-    assert metrics.counter("controlplane.retries").value > 0
+    assert registries[-1].counter("netsim.dropped_loss").value > 0
+    assert sum(m.counter("controlplane.retries").value for m in registries) > 0

@@ -11,6 +11,11 @@ so substrate faults and mediator crashes can overlap.
 The byzantine arm (:mod:`repro.chaos.adversary`) swaps crash faults for
 strategic tenants: seeded attack schedules against the mediator's trust
 defenses, with honest-utility, detection-latency, and false-positive bounds.
+
+The control-plane arm (:mod:`repro.chaos.hierarchy`) attacks the fabric
+that hands the budget down: partitions, loss, leaf kills, failure-domain
+outages and stale-checkpoint controller restarts against a budget tree.
+``fanouts=(n,)`` runs it on the flat n-server cluster (the one-level tree).
 """
 
 from repro.chaos.adversary import (
@@ -40,17 +45,11 @@ from repro.chaos.service import (
     service_kill_hook,
     service_kill_ticks,
 )
-from repro.chaos.partition import (
-    PartitionChaosResult,
-    PartitionSoakResult,
-    kill_outages,
-    partition_schedule,
-    run_partition_chaos,
-    run_partition_soak,
-)
 from repro.chaos.hierarchy import (
     HierarchyChaosResult,
     HierarchySoakResult,
+    kill_outages,
+    partition_schedule,
     run_hierarchy_chaos,
     run_hierarchy_soak,
     subtree_outage_schedule,
@@ -69,8 +68,6 @@ __all__ = [
     "HierarchyChaosResult",
     "HierarchySoakResult",
     "ServiceSoakReport",
-    "PartitionChaosResult",
-    "PartitionSoakResult",
     "default_attack_scenario",
     "kill_outages",
     "kill_schedule",
@@ -83,8 +80,6 @@ __all__ = [
     "run_adversary_soak",
     "run_chaos_mix",
     "run_chaos_soak",
-    "run_partition_chaos",
-    "run_partition_soak",
     "run_script",
     "run_service_soak",
     "service_kill_hook",

@@ -1,21 +1,27 @@
-"""Hierarchy chaos: failure-domain soaks for the budget tree.
+"""Control-plane chaos: seeded partition and failure-domain soaks.
 
-The partition soak (:mod:`repro.chaos.partition`) attacks one flat fabric;
-this module attacks a whole mediation *tree* - datacenter, PDU, and rack
-levels at once. Each run composes five seeded stressors:
+The kill/restart harness (:mod:`repro.chaos.harness`) attacks one mediator's
+process; this module attacks the fabric that hands the budget down - a
+whole mediation *tree* (datacenter, PDU, and rack levels at once) or, with
+``fanouts=(n,)``, the flat cluster control plane, which is the one-level
+tree. Each run composes five seeded stressors:
 
 * lossy, reordering fabrics at every level (loss/duplication/jitter);
-* partition windows on the root fabric cutting PDU uplinks;
+* partition windows on the root fabric cutting random subsets of its
+  children (PDU uplinks, or servers in a flat cluster) off the controller;
 * leaf kills drawn by the shared :func:`~repro.chaos.harness.kill_schedule`
-  arithmetic;
+  arithmetic, converted into :class:`~repro.cluster.cluster.NodeOutage`
+  windows;
 * whole failure-domain outages (:class:`~repro.hierarchy.SubtreeOutage`)
-  taking a PDU or rack subtree dark, controller and all;
+  taking a PDU or rack subtree dark, controller and all (trees with
+  interior levels only);
 * interior-controller crashes warm-restarted from deliberately stale
   checkpoints (the PR 2 codec convention), exercising the safe-hold path.
 
 The tree replays the schedule with its per-node delegation invariant
-checked every tick (the simulator raises on breach), and the soak adds the
-hierarchy-specific promises on top:
+checked every tick (the simulator raises on breach), and the soak adds
+three promises on top (the first two concern failure domains, so they bind
+only trees with interior levels):
 
 * **containment** - a dark failure domain must not degrade its sibling
   subtrees: each sibling's time-averaged aggregate cap during the outage
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chaos.harness import kill_schedule
-from repro.chaos.partition import kill_outages, partition_schedule
+from repro.cluster.cluster import NodeOutage, validate_outages
 from repro.cluster.controlplane import ControlPlaneConfig
 from repro.errors import ChaosError, ConfigurationError, SimulationError
 from repro.hierarchy import (
@@ -50,19 +56,91 @@ from repro.hierarchy import (
     validate_subtree_outages,
 )
 from repro.hierarchy.tree import Path
-from repro.netsim import NetConfig
+from repro.netsim import NetConfig, PartitionWindow
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 
 __all__ = [
     "HierarchyChaosResult",
     "HierarchySoakResult",
+    "kill_outages",
+    "partition_schedule",
     "run_hierarchy_chaos",
     "run_hierarchy_soak",
     "subtree_outage_schedule",
 ]
 
 _EPS = 1e-6
+
+
+def partition_schedule(
+    n_steps: int,
+    n_nodes: int,
+    *,
+    windows: int,
+    max_fraction: float,
+    seed: int,
+) -> tuple[PartitionWindow, ...]:
+    """Draw up to ``windows`` partition cuts covering at most
+    ``max_fraction`` of the schedule (per window, and therefore per node).
+
+    Each window cuts a random non-empty subset of at most half the fleet -
+    a majority of nodes always stays connected, matching the hub-and-spoke
+    topology's realistic failure unit (a rack uplink, not the whole fabric).
+    """
+    if not 0.0 <= max_fraction <= 1.0:
+        raise ConfigurationError("max_fraction must be in [0, 1]")
+    if windows <= 0 or n_steps < 4 or max_fraction == 0.0:
+        return ()
+    rng = np.random.default_rng(seed)
+    longest = max(1, int(max_fraction * n_steps))
+    cuts = []
+    for _ in range(windows):
+        length = int(rng.integers(1, longest + 1))
+        start = int(rng.integers(0, max(1, n_steps - length)))
+        width = int(rng.integers(1, max(2, n_nodes // 2 + 1)))
+        nodes = tuple(
+            int(n) for n in rng.choice(n_nodes, size=min(width, n_nodes), replace=False)
+        )
+        cuts.append(
+            PartitionWindow(start_step=start, end_step=start + length, nodes=nodes)
+        )
+    return tuple(cuts)
+
+
+def kill_outages(
+    n_steps: int,
+    n_nodes: int,
+    *,
+    kills: int,
+    max_down_steps: int,
+    seed: int,
+) -> tuple[NodeOutage, ...]:
+    """Convert a :func:`kill_schedule` draw into node-outage windows.
+
+    Each kill tick takes one random node down for a random (bounded)
+    duration. Same-node overlaps are skipped rather than merged, so the
+    result always satisfies :func:`~repro.cluster.cluster.validate_outages`.
+    """
+    ticks = kill_schedule(n_steps, kills, seed)
+    if not ticks:
+        return ()
+    rng = np.random.default_rng(seed + 1)  # node/duration draws, kill ticks above
+    busy_until: dict[int, int] = {}
+    outages = []
+    for tick in ticks:
+        node = int(rng.integers(0, n_nodes))
+        duration = int(rng.integers(1, max_down_steps + 1))
+        if tick < busy_until.get(node, 0):
+            continue
+        end = min(tick + duration, n_steps)
+        if end <= tick:
+            continue
+        outages.append(NodeOutage(server=node, start_step=tick, end_step=end))
+        busy_until[node] = end
+    return validate_outages(
+        tuple(outages), n_steps=n_steps, n_servers=n_nodes
+    )
 
 
 def subtree_outage_schedule(
@@ -116,6 +194,9 @@ class HierarchyChaosResult:
         restarts: Interior controllers warm-restarted from stale
             checkpoints.
         domain_outages: Failure-domain windows the schedule inflicted.
+        partition_steps: Total child-steps the root fabric's partition
+            windows cut off from the root controller.
+        killed_node_steps: Total leaf-steps spent dead.
         min_sibling_ratio: Worst sibling aggregate-cap ratio (chaos run
             over twin run) observed across all outage windows; 1.0 when
             no outage had siblings to measure.
@@ -131,6 +212,8 @@ class HierarchyChaosResult:
     heals: int
     restarts: int
     domain_outages: int
+    partition_steps: int
+    killed_node_steps: int
     min_sibling_ratio: float
 
     @property
@@ -160,6 +243,14 @@ class HierarchySoakResult:
     def total_restarts(self) -> int:
         return sum(r.restarts for r in self.runs)
 
+    @property
+    def total_partition_steps(self) -> int:
+        return sum(r.partition_steps for r in self.runs)
+
+    @property
+    def total_killed_node_steps(self) -> int:
+        return sum(r.killed_node_steps for r in self.runs)
+
     def report(self) -> dict:
         """JSON-ready containment/breach report (the CI soak artifact)."""
         return {
@@ -173,6 +264,8 @@ class HierarchySoakResult:
                     "headroom_w": r.headroom_w,
                     "min_sibling_ratio": r.min_sibling_ratio,
                     "domain_outages": r.domain_outages,
+                    "partition_steps": r.partition_steps,
+                    "killed_node_steps": r.killed_node_steps,
                     "restarts": r.restarts,
                     "fallbacks": r.fallbacks,
                     "heals": r.heals,
@@ -183,6 +276,8 @@ class HierarchySoakResult:
             "min_sibling_ratio": self.min_sibling_ratio,
             "total_domain_outages": self.total_domain_outages,
             "total_restarts": self.total_restarts,
+            "total_partition_steps": self.total_partition_steps,
+            "total_killed_node_steps": self.total_killed_node_steps,
         }
 
 
@@ -267,14 +362,17 @@ def run_hierarchy_chaos(
     trace_bus: TraceBus = NULL_TRACE_BUS,
     metrics: MetricsRegistry | None = None,
 ) -> HierarchyChaosResult:
-    """One composed chaos run against a full mediation tree.
+    """One composed chaos run against a mediation tree (``fanouts=(n,)``
+    is the flat n-server cluster).
 
     Every stressor - load walk, root partitions, leaf kills, domain
     outages, controller crash ticks, and all network draws - derives from
     ``seed``. The run replays twice: once with everything, once without
     the domain outages and controller crashes (the containment twin).
     Fabrics are lossy for the scheduled portion and clean during the
-    drain, so the hygiene checks are deterministic.
+    drain, so the hygiene checks are deterministic. ``metrics`` receives
+    the protocol counters of both replays and the ``netsim.*`` message
+    accounting of the chaos run.
 
     Raises:
         ChaosError: if the delegation invariant breaks at any node on any
@@ -366,11 +464,15 @@ def run_hierarchy_chaos(
         )
     except SimulationError as exc:
         raise ChaosError(f"hierarchy chaos seed {seed}: {exc}") from None
+    if metrics is not None:
+        for key, value in sim.net_stats().items():
+            metrics.counter(f"netsim.{key}").inc(value)
     final_step = n_steps + drain_steps - 1
     if not sim.zombie_free(final_step):
         raise ChaosError(
-            f"hierarchy chaos seed {seed}: a subtree still enforces a lease "
-            f"its parent no longer accounts for after the drain"
+            f"hierarchy chaos seed {seed}: zombie lease - an endpoint still "
+            f"enforces an extra its parent no longer accounts for after the "
+            f"drain"
         )
     leaf_safe = min(
         sim.topology.safe_caps_w[p] for p in sim.topology.leaf_paths()
@@ -444,6 +546,10 @@ def run_hierarchy_chaos(
         heals=sim.heals,
         restarts=sim.restarts,
         domain_outages=len(outages),
+        partition_steps=sum(
+            len(w.nodes) * (w.end_step - w.start_step) for w in partitions
+        ),
+        killed_node_steps=sum(len(d) for d in down_sets),
         min_sibling_ratio=min_ratio,
     )
 
@@ -462,7 +568,9 @@ def run_hierarchy_soak(
     """Repeat :func:`run_hierarchy_chaos` across a seed matrix.
 
     Loss severity sweeps deterministically from mild to ``max_loss`` across
-    the matrix, matching the flat partition soak's convention.
+    the matrix, so one soak covers the whole severity range rather than
+    hammering a single operating point. ``fanouts=(10,)`` with
+    ``budget_w=800.0`` is the flat 10-server partition soak.
 
     Raises:
         ChaosError: on the first seed violating any invariant.

@@ -688,45 +688,10 @@ def cmd_zones(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_partition_soak(args: argparse.Namespace) -> int:
-    """``cluster --chaos N``: the partition-chaos soak instead of Fig. 12."""
-    from repro.chaos import run_partition_soak
-
-    soak = run_partition_soak(
-        seeds=list(range(args.seed, args.seed + args.chaos)),
-        max_loss=args.loss if args.loss > 0.0 else 0.3,
-    )
-    print(banner(f"partition chaos soak: {len(soak.runs)} seeded schedules"))
-    rows = [
-        [
-            run.seed,
-            f"{run.loss:.0%}",
-            run.partition_steps,
-            run.killed_node_steps,
-            run.headroom_w,
-            run.outcome.final_epoch,
-            run.outcome.net_stats["dropped_loss"] + run.outcome.net_stats["dropped_partition"],
-        ]
-        for run in soak.runs
-    ]
-    print(
-        format_table(
-            ["seed", "loss", "cut node-steps", "dead node-steps", "headroom [W]", "epochs", "drops"],
-            rows,
-        )
-    )
-    print(
-        f"all {len(soak.runs)} runs held the budget invariant; "
-        f"min headroom {soak.min_headroom_w:.1f} W over "
-        f"{soak.total_partition_steps} partitioned + "
-        f"{soak.total_killed_node_steps} killed node-steps"
-    )
-    return 0
-
-
 def cmd_cluster(args: argparse.Namespace) -> int:
     if args.chaos:
-        return _cluster_partition_soak(args)
+        # The flat cluster is the one-level budget tree.
+        return _hierarchy_soak(args, (10,), n_steps=120, budget_w=800.0)
     simulator = ClusterSimulator()
     step_s = 600.0 if args.fast else 120.0
     trace = ClusterPowerTrace.synthetic_diurnal(
@@ -820,15 +785,22 @@ def _parse_subtree_outage(spec: str):
         raise NetworkError(f"--outage {spec!r}: {exc}") from None
 
 
-def _hierarchy_soak(args: argparse.Namespace, fanouts: tuple[int, ...]) -> int:
-    """``hierarchy --chaos N``: seeded failure-domain soaks on the tree."""
+def _hierarchy_soak(
+    args: argparse.Namespace,
+    fanouts: tuple[int, ...],
+    *,
+    n_steps: int,
+    budget_w: float | None,
+) -> int:
+    """``hierarchy --chaos N`` / ``cluster --chaos N``: seeded chaos soaks
+    on a budget tree (``cluster`` runs the one-level, 10-server tree)."""
     from repro.chaos import run_hierarchy_soak
 
     soak = run_hierarchy_soak(
         seeds=list(range(args.seed, args.seed + args.chaos)),
         fanouts=fanouts,
-        n_steps=args.steps,
-        budget_w=args.budget,
+        n_steps=n_steps,
+        budget_w=budget_w,
         max_loss=args.loss if args.loss > 0.0 else 0.3,
     )
     print(banner(f"hierarchy chaos soak: {len(soak.runs)} seeded schedules"))
@@ -836,6 +808,8 @@ def _hierarchy_soak(args: argparse.Namespace, fanouts: tuple[int, ...]) -> int:
         [
             run.seed,
             f"{run.loss:.0%}",
+            run.partition_steps,
+            run.killed_node_steps,
             run.domain_outages,
             run.restarts,
             run.fallbacks,
@@ -847,8 +821,9 @@ def _hierarchy_soak(args: argparse.Namespace, fanouts: tuple[int, ...]) -> int:
     ]
     print(
         format_table(
-            ["seed", "loss", "domain outages", "restarts", "fallbacks",
-             "heals", "headroom [W]", "sibling ratio"],
+            ["seed", "loss", "cut steps", "dead steps", "domain outages",
+             "restarts", "fallbacks", "heals", "headroom [W]",
+             "sibling ratio"],
             rows,
         )
     )
@@ -856,6 +831,8 @@ def _hierarchy_soak(args: argparse.Namespace, fanouts: tuple[int, ...]) -> int:
         f"all {len(soak.runs)} runs held the delegation invariant at every "
         f"node; min headroom {soak.min_headroom_w:.1f} W, worst sibling "
         f"containment ratio {soak.min_sibling_ratio:.3f} over "
+        f"{soak.total_partition_steps} partitioned + "
+        f"{soak.total_killed_node_steps} killed node-steps, "
         f"{soak.total_domain_outages} domain outages and "
         f"{soak.total_restarts} stale-checkpoint restarts"
     )
@@ -873,7 +850,9 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
     fanouts = _parse_fanouts(args.fanouts)
     if args.chaos:
-        return _hierarchy_soak(args, fanouts)
+        return _hierarchy_soak(
+            args, fanouts, n_steps=args.steps, budget_w=args.budget
+        )
     spec = TreeSpec(
         fanouts=fanouts,
         budget_w=(
@@ -1306,8 +1285,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_clu.add_argument(
         "--chaos", type=int, default=0, metavar="RUNS",
-        help="run RUNS seeded partition-chaos schedules against the control "
-        "plane instead of the Fig. 12 sweep",
+        help="run RUNS seeded chaos schedules (loss, partitions, node kills, "
+        "controller restarts) against the 10-server control plane instead "
+        "of the Fig. 12 sweep",
     )
     faults_arg(p_clu)
     observability_args(p_clu)

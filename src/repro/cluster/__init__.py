@@ -27,9 +27,7 @@ from repro.cluster.cluster import (
 from repro.cluster.controlplane import (
     ClusterController,
     ControlPlaneConfig,
-    ControlPlaneOutcome,
     NodeAgent,
-    run_control_plane,
 )
 from repro.cluster.manager import (
     CLUSTER_POLICY_NAMES,
@@ -50,11 +48,9 @@ __all__ = [
     "ClusterExperiment",
     "ClusterController",
     "ControlPlaneConfig",
-    "ControlPlaneOutcome",
     "NodeAgent",
     "NodeOutage",
     "outages_from_fault_plan",
-    "run_control_plane",
     "validate_outages",
     "CLUSTER_POLICY_NAMES",
     "evaluate_equal_policy_bin",

@@ -37,6 +37,9 @@ The construction (full math in DESIGN.md section 10):
   :class:`~repro.util.retry.RetryPolicy` - capped exponential backoff plus
   seeded jitter, the same policy the single-server actuation retrier uses.
 
+This module holds the two protocol halves; the replay loop that steps them
+is :func:`~repro.hierarchy.runner.run_budget_tree`, whose one-level tree
+(``TreeSpec(fanouts=(n,), ...)``) is the flat cluster control plane.
 Everything is deterministic given the network seed, so control-plane traces
 hash stably like every other sim event stream.
 """
@@ -44,12 +47,11 @@ hash stably like every other sim event stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.errors import NetworkError, RetryExhaustedError, SimulationError
-from repro.netsim.network import CONTROLLER, NetConfig, SimNetwork
+from repro.errors import NetworkError, RetryExhaustedError
+from repro.netsim.network import CONTROLLER, SimNetwork
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.util.retry import RetryPolicy
@@ -58,11 +60,9 @@ __all__ = [
     "CapAck",
     "ClusterController",
     "ControlPlaneConfig",
-    "ControlPlaneOutcome",
     "Heartbeat",
     "NodeAgent",
     "SetCapCmd",
-    "run_control_plane",
 ]
 
 #: Tolerance for cap-budget comparisons (quantization keeps values exact,
@@ -920,152 +920,3 @@ class ClusterController:
                 pending.attempts, self._rng, elapsed_ticks=elapsed
             )
             self._send(step, network, node, pending.grant, attempt=pending.attempts)
-
-
-# ------------------------------------------------------------------ run loop
-
-
-@dataclass(frozen=True)
-class ControlPlaneOutcome:
-    """One control-plane replay over a load/outage schedule.
-
-    Attributes:
-        caps_w: Per step, per node: the cap in force at that node (lease
-            math applies whether or not the node is up - a rebooting node
-            re-enforces its persisted grant until the lease expires).
-        budget_w: The cluster budget the run distributed.
-        safe_cap_w: The per-node unconditional fallback cap.
-        max_total_cap_w: Largest observed ``sum(caps_w[t])`` - always at or
-            below ``budget_w`` (checked every step; violation raises).
-        node_epochs: Final accepted epoch per node.
-        final_epoch: The controller's epoch counter at the end.
-        zombie_free: Whether every node's final live extra is covered by a
-            grant the controller still accounts for.
-        net_stats: The network's message accounting.
-    """
-
-    caps_w: tuple[tuple[float, ...], ...]
-    budget_w: float
-    safe_cap_w: float
-    max_total_cap_w: float
-    node_epochs: tuple[int, ...]
-    final_epoch: int
-    zombie_free: bool
-    net_stats: dict[str, int]
-
-
-def run_control_plane(
-    *,
-    n_nodes: int,
-    budget_w: float,
-    loaded_counts: Sequence[int],
-    down_sets: Sequence[frozenset[int]] | None = None,
-    net: NetConfig,
-    config: ControlPlaneConfig | None = None,
-    quantum_w: float = 2.0,
-    rated_cap_w: float | None = None,
-    drain_steps: int = 0,
-    trace_bus: TraceBus = NULL_TRACE_BUS,
-    metrics: MetricsRegistry | None = None,
-) -> ControlPlaneOutcome:
-    """Replay the control plane over a load/outage schedule.
-
-    Args:
-        loaded_counts: Offered load per step (the first ``k`` nodes are
-            loaded, matching the cluster simulator's inversion).
-        down_sets: Nodes dead at each step (aligned with ``loaded_counts``);
-            dead nodes lose their inbox and stay silent.
-        net: The network behaviour (latency/loss/duplication/partitions).
-        config: Protocol tunables.
-        quantum_w: Per-node cap grid.
-        rated_cap_w: Per-node physical cap clamp (default: no clamp).
-        drain_steps: Extra steps appended after the schedule with the final
-            load and no outages, letting leases renew and retries settle
-            (the caps of drain steps are not part of ``caps_w``).
-        trace_bus / metrics: Observability sinks shared with the caller.
-
-    Raises:
-        SimulationError: if the aggregate-cap invariant is ever violated
-            (a protocol bug by definition - it cannot happen).
-        NetworkError: for inconsistent schedule shapes.
-    """
-    if config is None:
-        config = ControlPlaneConfig()
-    steps = len(loaded_counts)
-    if steps == 0:
-        raise NetworkError("control-plane schedule needs at least one step")
-    if any(not 0 <= k <= n_nodes for k in loaded_counts):
-        raise NetworkError("loaded_counts entries must be in [0, n_nodes]")
-    if down_sets is None:
-        down_sets = [frozenset()] * steps
-    if len(down_sets) != steps:
-        raise NetworkError(
-            f"down_sets has {len(down_sets)} entries for {steps} steps"
-        )
-    registry = metrics if metrics is not None else MetricsRegistry()
-    network = SimNetwork(net, n_nodes)
-    controller = ClusterController(
-        n_nodes,
-        budget_w,
-        quantum_w=quantum_w,
-        rated_cap_w=float("inf") if rated_cap_w is None else rated_cap_w,
-        config=config,
-        seed=net.seed,
-        trace_bus=trace_bus,
-        metrics=registry,
-    )
-    agents = [
-        NodeAgent(
-            i,
-            safe_cap_w=controller.safe_cap_w,
-            rated_cap_w=float("inf") if rated_cap_w is None else rated_cap_w,
-            config=config,
-            trace_bus=trace_bus,
-            metrics=registry,
-        )
-        for i in range(n_nodes)
-    ]
-
-    caps: list[tuple[float, ...]] = []
-    max_total = 0.0
-    last_loaded = frozenset(range(loaded_counts[-1]))
-    for step in range(steps + drain_steps):
-        if step < steps:
-            loaded = frozenset(range(loaded_counts[step]))
-            down = down_sets[step]
-        else:
-            loaded, down = last_loaded, frozenset()
-        for agent in agents:
-            agent.up = agent.node_id not in down
-            agent.step(step, network)
-        controller.step(step, network, loaded)
-        row = tuple(agent.effective_cap_w(step) for agent in agents)
-        total = sum(row)
-        max_total = max(max_total, total)
-        if total > budget_w + _EPS:
-            raise SimulationError(
-                f"control-plane invariant violated at step {step}: "
-                f"sum of node caps {total:.6f} W exceeds budget "
-                f"{budget_w:.6f} W"
-            )
-        if step < steps:
-            caps.append(row)
-
-    final_step = steps + drain_steps - 1
-    zombie_free = all(
-        agent.live_extra_w(final_step)
-        <= controller.outstanding_w(agent.node_id, final_step) + _EPS
-        for agent in agents
-    )
-    for key, value in network.stats.to_dict().items():
-        registry.counter(f"netsim.{key}").inc(value)
-    return ControlPlaneOutcome(
-        caps_w=tuple(caps),
-        budget_w=budget_w,
-        safe_cap_w=controller.safe_cap_w,
-        max_total_cap_w=max_total,
-        node_epochs=tuple(agent.epoch for agent in agents),
-        final_epoch=controller.epoch,
-        zombie_free=zombie_free,
-        net_stats=network.stats.to_dict(),
-    )

@@ -2,20 +2,22 @@
 
 :class:`BudgetTreeSimulator` steps every level of the tree in lockstep -
 all uplink agents first (deepest after shallowest within a step, ids in
-order, exactly the flat runner's ordering when the tree has one level),
-then every controller root-first - and proves, at **every interior node on
-every step**, that the children's enforced budgets sum to at most the
-node's own enforced budget. A violation raises
-:class:`~repro.errors.SimulationError`: like the flat plane, the hierarchy
-is budget-safe by construction, and the check is there to catch protocol
-bugs, not to paper over them.
+order), then every controller root-first - and proves, at **every interior
+node on every step**, that the children's enforced budgets sum to at most
+the node's own enforced budget. A violation raises
+:class:`~repro.errors.SimulationError`: the hierarchy is budget-safe by
+construction, and the check is there to catch protocol bugs, not to paper
+over them.
 
-:func:`run_budget_tree` is the batch entry point mirroring
-:func:`~repro.cluster.controlplane.run_control_plane`; a degenerate
-single-level tree replays that function bit-identically (same seeds, same
-step order, same arithmetic - the regression suite pins it). The
-step-at-a-time simulator API exists so the chaos harness can kill interior
-controllers mid-run and restore them from stale checkpoints.
+:func:`run_budget_tree` is the one control-plane driver. A single-level
+tree (``TreeSpec(fanouts=(n,), ...)``) *is* the flat cluster control
+plane: one :class:`~repro.cluster.controlplane.ClusterController` leasing
+watts to ``n`` :class:`~repro.cluster.controlplane.NodeAgent`\\ s over one
+network. The Fig-12 netsim replay and the depth-1 chaos soak run through
+it, and the regression suite pins its depth-1 replays to digests and trace
+hashes frozen from the retired flat driver. The step-at-a-time simulator
+API exists so the chaos harness can kill interior controllers mid-run and
+restore them from stale checkpoints.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ _EPS = 1e-6
 
 def _derived_seed(base_seed: int, path: Path) -> int:
     """A stable per-network seed: the root keeps ``base_seed`` verbatim
-    (depth-1 bit-identity with the flat plane), deeper networks mix the
-    path in through a SeedSequence so sibling fabrics are decorrelated."""
+    (so a depth-1 tree replays the frozen flat-plane digests), deeper
+    networks mix the path in through a SeedSequence so sibling fabrics
+    are decorrelated."""
     if not path:
         return base_seed
     return int(SeedSequence((base_seed,) + tuple(path)).generate_state(1)[0])
@@ -254,8 +257,7 @@ class BudgetTreeSimulator:
         children collectively out-cap its enforced budget.
         """
         # Uplink agents first, shallow to deep, ids in order - within any
-        # single fabric this is exactly the flat runner's "agents then
-        # controller" ordering.
+        # single fabric the order is "agents, then their controller".
         for path, node in self.nodes.items():
             agent = node.agent
             if agent is None:
@@ -337,7 +339,7 @@ class BudgetTreeSimulator:
                     total += self.nodes[child].enforced_budget_w(step)
                 else:
                     total += leaf_row[self.topology.leaf_index(child)]
-            if total > budget + _EPS * max(1, node.n_children):
+            if total > budget + _EPS:
                 raise SimulationError(
                     f"hierarchy invariant violated at step {step}, node "
                     f"{format_path(path)}: children enforce {total:.6f} W "
@@ -345,7 +347,7 @@ class BudgetTreeSimulator:
                 )
         root_total = sum(leaf_row)
         self.max_total_cap_w = max(self.max_total_cap_w, root_total)
-        if root_total > self.topology.spec.budget_w + _EPS * len(leaf_row):
+        if root_total > self.topology.spec.budget_w + _EPS:
             raise SimulationError(
                 f"hierarchy invariant violated at step {step}: leaf caps "
                 f"sum to {root_total:.6f} W against the datacenter budget "
@@ -364,8 +366,8 @@ class BudgetTreeSimulator:
         """Warm-restart an interior controller from a (possibly stale)
         checkpoint.
 
-        The agent half is journaled synchronously (flat-plane convention:
-        a :class:`NodeAgent`'s epoch survives crashes), so only the
+        The agent half is journaled synchronously (a
+        :class:`NodeAgent`'s epoch survives crashes), so only the
         controller is rolled back; it re-enters service in the safe-hold
         posture with its epoch counter bumped past anything the dead
         incarnation could have issued.
@@ -433,9 +435,8 @@ def run_budget_tree(
 
     Args:
         loaded_counts: Offered load per step; the first ``k`` leaves are
-            loaded (the flat runner's inversion, so a depth-1 tree replays
-            :func:`~repro.cluster.controlplane.run_control_plane`
-            bit-identically).
+            loaded (the cluster simulator's inversion: servers ``0..k-1``
+            carry the load at a step with ``k`` busy servers).
         leaf_down_sets: Dead leaf servers per step (flat ids).
         subtree_outages: Failure-domain (PDU/rack) windows; validated
             against the tree and trace.

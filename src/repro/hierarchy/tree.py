@@ -82,8 +82,8 @@ class TreeSpec:
     Attributes:
         fanouts: Children per node at each interior level, root first -
             ``(4, 5, 10)`` is 4 PDUs x 5 racks x 10 servers = 200 leaves.
-            A single entry is the flat cluster (and replays bit-identically
-            to :func:`~repro.cluster.controlplane.run_control_plane`).
+            A single entry is the flat cluster: one controller leasing
+            straight to its servers (the Fig-12 netsim replay's shape).
         budget_w: The datacenter budget delegated from the root.
         quantum_w: Cap grid used by every level's controller.
         level_names: Optional display names, one per level including the
@@ -167,6 +167,12 @@ class TreeTopology:
     safe_caps_w: dict[Path, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # spans[d]: leaves in a subtree rooted at depth d; the row-major
+        # stride of a level-d path component is spans[d + 1].
+        spans = [1]
+        for fanout in reversed(self.spec.fanouts):
+            spans.insert(0, spans[0] * fanout)
+        object.__setattr__(self, "_spans", tuple(spans))
         if self.safe_caps_w:
             return
         quantum = self.spec.quantum_w
@@ -237,11 +243,7 @@ class TreeTopology:
             raise ConfigurationError(
                 f"{format_path(path)} is not a leaf path"
             )
-        index = 0
-        for level, part in enumerate(path):
-            stride = int(np.prod(self.spec.fanouts[level + 1 :], initial=1))
-            index += part * stride
-        return index
+        return sum(part * span for part, span in zip(path, self._spans[1:]))
 
     def leaves_under(self, path: Path) -> range:
         """Flat leaf ids inside the subtree rooted at ``path``."""
@@ -249,13 +251,8 @@ class TreeTopology:
             raise ConfigurationError(
                 f"node {format_path(path)} does not exist in this tree"
             )
-        stride = int(np.prod(self.spec.fanouts[len(path) :], initial=1))
-        start = 0
-        for level, part in enumerate(path):
-            start += part * int(
-                np.prod(self.spec.fanouts[level + 1 :], initial=1)
-            )
-        return range(start, start + stride)
+        start = sum(part * span for part, span in zip(path, self._spans[1:]))
+        return range(start, start + self._spans[len(path)])
 
 
 # -------------------------------------------------------- failure domains

@@ -1,9 +1,12 @@
-"""Hierarchy-chaos soaks: failure-domain containment under composed faults.
+"""Control-plane chaos soaks: trees and the flat cluster under composed faults.
 
-The quick tier always runs a few composed tree schedules; the full
-acceptance matrix (12 seeds, loss up to 30%, domain outages composed with
-root partitions, leaf kills, and stale-checkpoint controller restarts) is
-opt-in via ``REPRO_SOAK=1`` and runs in CI's hierarchy-soak job.
+The quick tier always runs a few composed tree schedules and a few flat
+10-server ones (the one-level tree: loss, partitions and node kills, no
+failure domains). Two acceptance matrices are opt-in via ``REPRO_SOAK=1``
+and run in CI's control-plane soak job: 20 flat seeds (loss up to 30%,
+partitions up to 25% of the trace, composed with node kills) and 12 tree
+seeds (domain outages composed with root partitions, leaf kills, and
+stale-checkpoint controller restarts).
 """
 
 import json
@@ -93,8 +96,57 @@ class TestQuickChaos:
             run_hierarchy_chaos(seed=0, fanouts=(2, 2), n_steps=60)
 
 
+class TestFlatCluster:
+    """The flat partition soak: a 10-server cluster is the one-level tree."""
+
+    FLAT = dict(fanouts=(10,), budget_w=800.0)
+
+    def test_composed_run_holds_the_invariant(self):
+        result = run_hierarchy_chaos(seed=1, n_steps=80, **self.FLAT)
+        # Returning at all means the drained plane held no zombie extras
+        # (run_hierarchy_chaos raises ChaosError otherwise).
+        assert result.headroom_w >= 0.0
+        assert result.partition_steps > 0
+        assert result.killed_node_steps > 0
+        assert result.domain_outages == 0  # no interior level to darken
+
+    def test_small_severity_sweep(self):
+        soak = run_hierarchy_soak(seeds=[0, 1, 2, 3], n_steps=80, **self.FLAT)
+        assert len(soak.runs) == 4
+        assert soak.min_headroom_w >= 0.0
+        # The sweep actually ramps severity.
+        assert soak.runs[0].loss < soak.runs[-1].loss == pytest.approx(0.3)
+
+    def test_zombie_detection_raises_chaoserror(self, monkeypatch):
+        from repro.hierarchy import BudgetTreeSimulator
+
+        monkeypatch.setattr(
+            BudgetTreeSimulator, "zombie_free", lambda self, step: False
+        )
+        with pytest.raises(ChaosError, match="zombie|extra"):
+            run_hierarchy_chaos(seed=0, **self.FLAT)
+
+
 @pytest.mark.skipif(not SOAK, reason="set REPRO_SOAK=1 to run the full soak")
 class TestAcceptanceSoak:
+    # The flat soak keeps the 600 s budget it had in its own CI step.
+    @pytest.mark.timeout(600)
+    def test_twenty_seeds_flat_cluster_full_severity(self):
+        # The flat acceptance matrix: >= 20 seeded schedules on the
+        # 10-server cluster, loss up to 30%, partitions up to 25% of the
+        # trace, composed with node kills.
+        soak = run_hierarchy_soak(
+            seeds=list(range(20)),
+            fanouts=(10,),
+            budget_w=800.0,
+            n_steps=120,
+            max_loss=0.3,
+        )
+        assert len(soak.runs) == 20
+        assert soak.min_headroom_w >= 0.0
+        assert soak.total_partition_steps > 0
+        assert soak.total_killed_node_steps > 0
+
     def test_twelve_seeds_full_severity(self):
         # The acceptance matrix: 12 seeded schedules against a 3-level,
         # 24-server tree, loss up to 30%, domain outages at PDU and rack

@@ -1,28 +1,38 @@
-"""Partition-chaos soaks and the netsim-integrated cluster experiment.
+"""Partition schedules and the netsim-integrated cluster experiment.
 
-The quick tier always runs a handful of composed schedules; the full
-acceptance matrix (20 seeds, loss up to 30%, partitions up to 25% of the
-trace, composed with node kills) is opt-in via ``REPRO_SOAK=1`` and runs in
-CI's soak job.
+The flat cluster's partition-chaos soaks run as one-level trees in
+``tests/chaos/test_hierarchy_chaos.py``; this module keeps the schedule
+draws they share and the Fig-12 cluster replay over a lossy control plane,
+pinned to the frozen output of the retired flat driver.
 """
-
-import os
 
 import pytest
 
+import repro.hierarchy
 from repro.chaos import (
     kill_outages,
     partition_schedule,
-    run_partition_chaos,
-    run_partition_soak,
+    run_hierarchy_chaos,
+    run_hierarchy_soak,
 )
 from repro.cluster.cluster import ClusterSimulator, NodeOutage, validate_outages
-from repro.errors import ChaosError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.netsim import NetConfig, PartitionWindow
+from repro.observability.trace import TraceBus
 from repro.workloads.mixes import all_mixes
 from repro.workloads.traces import ClusterPowerTrace
+from tests.cluster.flat_plane import assert_matches_flat_oracle
 
-SOAK = os.environ.get("REPRO_SOAK") == "1"
+#: The node-outage and partition schedule of the lossy netsim run.
+PARTITIONED = dict(
+    netsim=NetConfig(
+        loss=0.2,
+        jitter_steps=1,
+        partitions=(PartitionWindow(3, 8, (1,)),),
+        seed=5,
+    ),
+    outages=(NodeOutage(server=0, start_step=6, end_step=10),),
+)
 
 
 class TestSchedules:
@@ -51,38 +61,9 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             partition_schedule(100, 10, windows=1, max_fraction=1.5, seed=0)
         with pytest.raises(ConfigurationError):
-            run_partition_chaos(seed=0, loss=1.0)
+            run_hierarchy_chaos(seed=0, fanouts=(10,), budget_w=800.0, loss=1.0)
         with pytest.raises(ConfigurationError):
-            run_partition_soak(seeds=[])
-
-
-class TestQuickChaos:
-    def test_composed_run_holds_the_invariant(self):
-        result = run_partition_chaos(seed=1, n_steps=80)
-        assert result.headroom_w >= 0.0
-        assert result.outcome.zombie_free
-        assert result.partition_steps > 0
-        assert result.killed_node_steps > 0
-
-    def test_small_severity_sweep(self):
-        soak = run_partition_soak(seeds=[0, 1, 2, 3], n_steps=80)
-        assert len(soak.runs) == 4
-        assert soak.min_headroom_w >= 0.0
-        # The sweep actually ramps severity.
-        assert soak.runs[0].loss < soak.runs[-1].loss == pytest.approx(0.3)
-
-    def test_zombie_detection_raises_chaoserror(self, monkeypatch):
-        import repro.chaos.partition as partition_mod
-
-        class FakeOutcome:
-            zombie_free = False
-
-        def fake_run(**kwargs):
-            return FakeOutcome()
-
-        monkeypatch.setattr(partition_mod, "run_control_plane", fake_run)
-        with pytest.raises(ChaosError, match="zombie|extra"):
-            run_partition_chaos(seed=0)
+            run_hierarchy_soak(seeds=[], fanouts=(10,), budget_w=800.0)
 
 
 class TestClusterIntegration:
@@ -113,18 +94,7 @@ class TestClusterIntegration:
     def test_netsim_degrades_but_stays_valid(self, small):
         sim, trace = small
         oracle = self.run(sim, trace)
-        net = NetConfig(
-            loss=0.2,
-            jitter_steps=1,
-            partitions=(PartitionWindow(3, 8, (1,)),),
-            seed=5,
-        )
-        lossy = self.run(
-            sim,
-            trace,
-            netsim=net,
-            outages=(NodeOutage(server=0, start_step=6, end_step=10),),
-        )
+        lossy = self.run(sim, trace, **PARTITIONED)
         for policy in ("equal-rapl", "equal-ours"):
             o = oracle.results[0.30][policy]
             n = lossy.results[0.30][policy]
@@ -142,21 +112,31 @@ class TestClusterIntegration:
         b = self.run(sim, trace, netsim=net)
         assert a.results == b.results
 
+    @pytest.mark.parametrize(
+        "case, kwargs",
+        [
+            ("cluster_partitioned", PARTITIONED),
+            ("cluster_lossy", dict(netsim=NetConfig(loss=0.25, jitter_steps=2, seed=9))),
+        ],
+        ids=["partitioned", "lossy"],
+    )
+    def test_netsim_replay_matches_frozen_flat_oracle(
+        self, small, monkeypatch, case, kwargs
+    ):
+        # The equal-split caps come from a one-level budget tree; its
+        # replay and the whole run's trace must equal what the retired flat
+        # driver produced for the same fixture.
+        sim, trace = small
+        replays = []
+        run_budget_tree = repro.hierarchy.run_budget_tree
 
-@pytest.mark.skipif(not SOAK, reason="set REPRO_SOAK=1 to run the full soak")
-class TestAcceptanceSoak:
-    def test_twenty_seeds_full_severity(self):
-        # The acceptance matrix: >= 20 seeded schedules, loss up to 30%,
-        # partitions up to 25% of the trace, composed with node kills.
-        soak = run_partition_soak(
-            seeds=list(range(20)),
-            n_nodes=10,
-            n_steps=120,
-            max_loss=0.3,
-            partition_fraction=0.25,
-            kills=2,
-        )
-        assert len(soak.runs) == 20
-        assert soak.min_headroom_w >= 0.0
-        assert soak.total_partition_steps > 0
-        assert soak.total_killed_node_steps > 0
+        def spy(*args, **kw):
+            replays.append(run_budget_tree(*args, **kw))
+            return replays[-1]
+
+        monkeypatch.setattr(repro.hierarchy, "run_budget_tree", spy)
+        bus = TraceBus()
+        self.run(sim, trace, trace_bus=bus, **kwargs)
+        assert len(replays) == 1
+        assert replays[0].depth == 1
+        assert_matches_flat_oracle(case, replays[0], bus.content_hash())

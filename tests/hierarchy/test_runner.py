@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster.controlplane import ControlPlaneConfig, run_control_plane
-from repro.errors import NetworkError
+from repro.cluster.controlplane import NodeAgent
+from repro.errors import NetworkError, SimulationError
 from repro.hierarchy import (
     BudgetTreeSimulator,
     SubtreeOutage,
@@ -13,6 +13,7 @@ from repro.hierarchy import (
 from repro.netsim import NetConfig, PartitionWindow
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import HIERARCHY_KINDS, TraceBus, verify_trace
+from tests.cluster.flat_plane import assert_matches_flat_oracle, flat_run
 
 LOSSY = NetConfig(latency_steps=1, jitter_steps=2, loss=0.15, duplicate=0.05, seed=7)
 
@@ -26,51 +27,43 @@ def run_tree(fanouts=(3, 4), budget_w=1200.0, steps=60, **kwargs):
 
 
 class TestDegenerateDepthOne:
-    """A one-level tree IS the flat control plane - bit for bit."""
+    """A one-level tree IS the flat control plane - bit for bit, pinned to
+    the output the retired flat driver produced on the same cases."""
 
-    @pytest.mark.parametrize("net", [NetConfig(seed=1), LOSSY])
-    def test_bit_identical_to_flat_control_plane(self, net):
+    @staticmethod
+    def replay(n, budget_w, loads, **kwargs):
+        bus = TraceBus()
+        outcome = flat_run(n, budget_w, loads, trace_bus=bus, **kwargs)
+        return outcome, bus.content_hash()
+
+    @pytest.mark.parametrize(
+        "net, case",
+        [(NetConfig(seed=1), "clean8"), (LOSSY, "lossy8")],
+        ids=["net0", "net1"],
+    )
+    def test_bit_identical_to_flat_control_plane(self, net, case):
         loads = [4, 6, 8, 8, 8, 5, 3, 8] * 5
-        flat = run_control_plane(
-            n_nodes=8, budget_w=800.0, loaded_counts=loads, net=net, drain_steps=12
+        outcome, trace_hash = self.replay(
+            8, 800.0, loads, net=net, drain_steps=12
         )
-        tree = run_budget_tree(
-            TreeSpec(fanouts=(8,), budget_w=800.0), loads, net=net, drain_steps=12
-        )
-        assert tree.caps_w == flat.caps_w
-        assert tree.leaf_epochs == flat.node_epochs
-        assert tree.final_epochs == {"root": flat.final_epoch}
-        assert tree.zombie_free == flat.zombie_free
-        assert tree.max_total_cap_w == flat.max_total_cap_w
-        assert tree.net_stats == flat.net_stats
+        assert_matches_flat_oracle(case, outcome, trace_hash)
+        assert set(outcome.final_epochs) == {"root"}
+        assert outcome.node_epochs == {}
 
     def test_trace_hash_identical_to_flat(self):
-        loads = [6] * 40
-        flat_bus, tree_bus = TraceBus(), TraceBus()
-        run_control_plane(
-            n_nodes=6, budget_w=600.0, loaded_counts=loads, net=LOSSY,
-            trace_bus=flat_bus,
-        )
-        run_budget_tree(
-            TreeSpec(fanouts=(6,), budget_w=600.0), loads, net=LOSSY,
-            trace_bus=tree_bus,
-        )
-        assert tree_bus.content_hash() == flat_bus.content_hash()
+        outcome, trace_hash = self.replay(6, 600.0, [6] * 40, net=LOSSY)
+        assert_matches_flat_oracle("lossy6", outcome, trace_hash)
 
     def test_leaf_down_matches_flat_down_sets(self):
         steps = 50
         down = [
             frozenset({0}) if 15 <= t < 35 else frozenset() for t in range(steps)
         ]
-        flat = run_control_plane(
-            n_nodes=4, budget_w=400.0, loaded_counts=[4] * steps,
-            down_sets=down, net=NetConfig(seed=2), drain_steps=10,
-        )
-        tree = run_budget_tree(
-            TreeSpec(fanouts=(4,), budget_w=400.0), [4] * steps,
+        outcome, trace_hash = self.replay(
+            4, 400.0, [4] * steps,
             net=NetConfig(seed=2), leaf_down_sets=down, drain_steps=10,
         )
-        assert tree.caps_w == flat.caps_w
+        assert_matches_flat_oracle("down4", outcome, trace_hash)
 
 
 class TestInvariant:
@@ -100,6 +93,24 @@ class TestInvariant:
 
     def test_deterministic_replay(self):
         assert run_tree(net=LOSSY) == run_tree(net=LOSSY)
+
+    @pytest.mark.parametrize("overshoot, raises", [(2e-6, True), (5e-7, False)])
+    def test_leaf_sum_tolerance_does_not_grow_with_fanout(
+        self, monkeypatch, overshoot, raises
+    ):
+        # The budget check allows one float epsilon (1e-6 W) in total, not
+        # one per child: ten leaves 2e-7 W over their share each overshoot
+        # the budget by 2e-6 W, and that is a breach.
+        sim = BudgetTreeSimulator(
+            TreeSpec(fanouts=(10,), budget_w=800.0), net=NetConfig(seed=1)
+        )
+        share = (800.0 + overshoot) / 10
+        monkeypatch.setattr(NodeAgent, "effective_cap_w", lambda self, step: share)
+        if raises:
+            with pytest.raises(SimulationError, match="invariant violated"):
+                sim.step(0, frozenset(range(10)))
+        else:
+            assert sum(sim.step(0, frozenset(range(10)))) > 800.0
 
 
 class TestPartitionAutonomy:

@@ -4,14 +4,14 @@ For arbitrary seeded loss/partition/outage schedules the aggregate-cap
 invariant must hold at every step, and after the partition heals and the
 network drains clean, every node must end in a consistent epoch with no
 zombie caps (no node enforcing an extra the controller no longer accounts
-for).
+for). The flat cluster replays as the one-level budget tree.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.cluster.controlplane import run_control_plane
 from repro.netsim import NetConfig, PartitionWindow
+from tests.cluster.flat_plane import flat_run
 
 N_NODES = 5
 BUDGET_W = 500.0
@@ -72,26 +72,27 @@ class TestControlPlaneProperties:
     @settings(max_examples=60, deadline=None)
     def test_budget_invariant_and_consistent_heal(self, schedule):
         loads, down_sets, net = schedule
-        # run_control_plane itself raises SimulationError the instant the
+        # The replay itself raises SimulationError the instant the
         # aggregate-cap invariant is violated - completing IS the invariant.
-        outcome = run_control_plane(
-            n_nodes=N_NODES,
-            budget_w=BUDGET_W,
-            loaded_counts=loads,
-            down_sets=down_sets,
+        outcome = flat_run(
+            N_NODES,
+            BUDGET_W,
+            loads,
+            leaf_down_sets=down_sets,
             net=net,
-            quantum_w=2.0,
             drain_steps=DRAIN_STEPS,
         )
+        safe_cap_w = outcome.safe_caps_by_level_w[0]
         assert outcome.max_total_cap_w <= BUDGET_W + 1e-6
         for row in outcome.caps_w:
             assert sum(row) <= BUDGET_W + 1e-6
-            assert all(cap >= outcome.safe_cap_w - 1e-9 for cap in row)
+            assert all(cap >= safe_cap_w - 1e-9 for cap in row)
         # No zombie caps after the heal + drain: every extra still enforced
         # is covered by a grant the controller accounts for.
         assert outcome.zombie_free
         # Epoch consistency: epochs are globally monotone and issued to one
         # node each - two nodes can never end up on the same grant.
-        granted = [e for e in outcome.node_epochs if e > 0]
+        granted = [e for e in outcome.leaf_epochs if e > 0]
         assert len(set(granted)) == len(granted)
-        assert all(e <= outcome.final_epoch for e in outcome.node_epochs)
+        final_epoch = outcome.final_epochs["root"]
+        assert all(e <= final_epoch for e in outcome.leaf_epochs)

@@ -84,8 +84,10 @@ class TestClusterNetsimFlags:
         code = main(["cluster", "--chaos", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "partition chaos soak" in out
-        assert "held the budget invariant" in out
+        # The flat cluster soak is the one-level hierarchy soak.
+        assert "hierarchy chaos soak: 2 seeded schedules" in out
+        assert "held the delegation invariant" in out
+        assert "partitioned +" in out
 
     def test_malformed_partition_exits_2(self, capsys):
         code = main(["cluster", "--fast", "--partition", "bogus"])
