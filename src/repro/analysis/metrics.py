@@ -121,7 +121,7 @@ def summarize_resilience(
         stats: The mediator's fault ledger (``mediator.fault_stats`` or the
             ``fault_stats`` field of an experiment result).
         total_ticks: Run length in ticks, for ``degraded_fraction``; pass
-            ``len(mediator.timeline)`` when available.
+            ``mediator.tick_count`` when available.
     """
     recovered = sum(1 for ep in stats.episodes if not ep.open)
     fraction = (

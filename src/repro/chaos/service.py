@@ -9,7 +9,8 @@ uninterrupted baseline with the identical churn schedule, then enforces
 the service invariants (each failure raises
 :class:`~repro.errors.ChaosError` with the violating numbers):
 
-1. **Cap safety** - the recovered mediator's full timeline passes
+1. **Cap safety** - the recovered mediator's history (the sealed summary
+   plus the timeline since the last checkpoint) passes
    :func:`~repro.core.simulation.verify_cap_invariant`: wall power at or
    under the cap at every tick, any flagged breach accounted.
 2. **Safety lane integrity** - zero ``service.ingest.safety_shed``, every
@@ -24,11 +25,21 @@ the service invariants (each failure raises
    mid-run); the soak additionally requires that churn actually exercised
    it (``service.sessions.replayed`` > 0).
 5. **Bounded footprint** - retained trace events, journal segments, and
-   on-disk checkpoints all end under their configured bounds.
+   on-disk checkpoints all end under their configured bounds. Before every
+   tick of both runs, the mediator holds at most one checkpoint interval
+   of history: no more timeline records than the checkpoint cadence, and
+   no event older than the last seal. Every checkpoint written holds the
+   mediator's past only as the fixed-size sealed summary (no timeline
+   record, logged event or departed app), so its history bytes stay flat.
+   The report carries the largest checkpoint written and how much the
+   late checkpoints outgrew the early ones outside the client session
+   windows (which are bounded by ``retention.session_window`` and fill
+   over the first tens of thousands of ticks at the default).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -170,6 +181,14 @@ class ServiceSoakReport:
         replayed_deliveries: Deliveries replayed to reconnecting clients.
         trace_hash: The (identical) content hash of both runs' traces.
         counters: The chaos run's full service counter map.
+        checkpoint_bytes_max: The largest checkpoint either run wrote, in
+            bytes (sampled at every checkpoint-cadence tick).
+        checkpoint_growth: Largest checkpoint in the second half of a run
+            over the largest in its first half, counting the bytes outside
+            the session windows (the larger of the two runs). Not gated:
+            live state - the managed apps' candidate sets, windowed
+            histograms - legitimately fills during a short run's first
+            half; over a long run it reads ~1.0.
     """
 
     ticks: int
@@ -181,6 +200,72 @@ class ServiceSoakReport:
     replayed_deliveries: int
     trace_hash: str
     counters: dict[str, float]
+    checkpoint_bytes_max: int
+    checkpoint_growth: float
+
+
+class _HistoryProbe:
+    """Tick hook recording how much history a service's mediator holds.
+
+    Runs before every tick (replayed ones included), then chains to the
+    kill hook, if any. ``service`` is set once the service exists.
+    """
+
+    def __init__(self, kill_hook: Callable[[int], None] | None = None) -> None:
+        self.service: MediatorService | None = None
+        self.max_timeline = 0
+        self.max_events = 0
+        self.stale_events = 0
+        self._kill_hook = kill_hook
+
+    def __call__(self, tick: int) -> None:
+        assert self.service is not None
+        mediator = self.service.mediator
+        self.max_timeline = max(self.max_timeline, len(mediator.timeline))
+        events = mediator.accountant.event_log
+        self.max_events = max(self.max_events, len(events))
+        sealed_to = mediator.history.last_time_s
+        if events and sealed_to is not None and events[0].time_s < sealed_to:
+            self.stale_events += 1
+        if self._kill_hook is not None:
+            self._kill_hook(tick)
+
+
+def _run_sampling_checkpoints(
+    service: MediatorService, total_ticks: int
+) -> list[tuple[int, int, int]]:
+    """Run ``service`` to ``total_ticks`` one checkpoint interval at a time.
+
+    Equivalent to one ``run_for_ticks(total_ticks)`` call; after each
+    interval the newest checkpoint is read back. Returns one triple per
+    checkpoint: its bytes, its bytes outside the session windows, and the
+    unsealed history it holds (timeline records + logged events +
+    departed apps).
+    """
+    samples: list[tuple[int, int, int]] = []
+    every = service.config.checkpoint_every_ticks
+    while service.tick < total_ticks:
+        service.run_for_ticks(min(every, total_ticks - service.tick))
+        newest = max(service.checkpoint_dir.glob("svc-*.json"))
+        text = newest.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        state = doc["mediator_state"]
+        unsealed = (
+            len(state["timeline"]) + len(state["accountant"]["log"]) + len(state["finished"])
+        )
+        outside = len(text) - len(json.dumps(doc["sessions"]))
+        samples.append((len(text), outside, unsealed))
+    return samples
+
+
+def _growth(samples: list[tuple[int, int, int]]) -> float:
+    """Largest late-half over largest early-half non-session checkpoint."""
+    if len(samples) < 2:
+        return 1.0
+    half = len(samples) // 2
+    early = max(outside for _, outside, _ in samples[:half])
+    late = max(outside for _, outside, _ in samples[half:])
+    return late / early
 
 
 def _counter(counters: dict[str, float], name: str) -> float:
@@ -226,20 +311,26 @@ def run_service_soak(
     )
     kill_ticks = service_kill_ticks(total_ticks, kills, chaos_seed)
 
-    baseline = MediatorService(config, workdir / "baseline", churn=churn)
-    baseline.run_for_ticks(total_ticks)
+    base_probe = _HistoryProbe()
+    baseline = MediatorService(
+        config, workdir / "baseline", churn=churn, tick_hook=base_probe
+    )
+    base_probe.service = baseline
+    base_samples = _run_sampling_checkpoints(baseline, total_ticks)
     baseline.close()
     base_hash = baseline.content_hash()
     base_counters = dict(baseline.metrics.counters())
 
+    chaos_probe = _HistoryProbe(service_kill_hook(kill_ticks))
     chaos = MediatorService(
         config,
         workdir / "chaos",
         churn=churn,
-        tick_hook=service_kill_hook(kill_ticks),
+        tick_hook=chaos_probe,
         tear_journal_bytes_on_crash=tear_journal_bytes,
     )
-    chaos.run_for_ticks(total_ticks)
+    chaos_probe.service = chaos
+    chaos_samples = _run_sampling_checkpoints(chaos, total_ticks)
     chaos.close()
     chaos_hash = chaos.content_hash()
     counters = dict(chaos.metrics.counters())
@@ -256,7 +347,7 @@ def run_service_soak(
             f"{restarts} restarts"
         )
 
-    # 1. Cap safety over the full recovered timeline.
+    # 1. Cap safety over the recovered history (sealed summary + window).
     try:
         breach_ticks = verify_cap_invariant(chaos.mediator)
         verify_cap_invariant(baseline.mediator)
@@ -302,6 +393,29 @@ def run_service_soak(
 
     # 5. Bounded footprint.
     retention = config.retention
+    cadence = config.checkpoint_every_ticks
+    growth = 1.0
+    for probe, samples, label in (
+        (base_probe, base_samples, "baseline"),
+        (chaos_probe, chaos_samples, "chaos"),
+    ):
+        if probe.max_timeline > cadence:
+            raise ChaosError(
+                f"{label}: the mediator held {probe.max_timeline} timeline "
+                f"records, bound {cadence} (one checkpoint interval)"
+            )
+        if probe.stale_events:
+            raise ChaosError(
+                f"{label}: on {probe.stale_events} ticks the event log held "
+                f"events from before the last seal (up to {probe.max_events})"
+            )
+        unsealed = max(held for _, _, held in samples)
+        if unsealed:
+            raise ChaosError(
+                f"{label}: a checkpoint held {unsealed} unsealed history "
+                "entries (timeline records, events, departed apps); bound 0"
+            )
+        growth = max(growth, _growth(samples))
     for svc, label in ((baseline, "baseline"), (chaos, "chaos")):
         bus = svc.trace_bus
         retained = getattr(bus, "retained_events", 0)
@@ -340,4 +454,6 @@ def run_service_soak(
         replayed_deliveries=int(replayed),
         trace_hash=chaos_hash,
         counters=counters,
+        checkpoint_bytes_max=max(total for total, _, _ in base_samples + chaos_samples),
+        checkpoint_growth=growth,
     )

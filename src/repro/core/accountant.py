@@ -79,8 +79,22 @@ class Accountant:
 
     @property
     def event_log(self) -> list[Event]:
-        """All events raised so far, in order (copies are cheap views)."""
+        """Events raised since the last :meth:`drain_events`, in order.
+
+        Each read copies the whole log into a new list. A mediator that
+        never seals its history (every experiment driver) never drains, so
+        there this is every event of the run.
+        """
         return list(self._log)
+
+    def drain_events(self) -> list[Event]:
+        """Hand over every logged event, oldest first, and forget them.
+
+        The mediator's :meth:`~repro.core.mediator.PowerMediator.seal_history`
+        is the one caller: it folds the events into its sealed summary.
+        """
+        events, self._log = self._log, []
+        return events
 
     def notify_cap_change(self, new_cap_w: float) -> CapChangeEvent:
         """E1 message: the server's budget changed."""
@@ -97,6 +111,17 @@ class Accountant:
         event = ArrivalEvent(time_s=self._server.now_s, profile=profile)
         self._log.append(event)
         self.trace_bus.emit("arrival", {"at_s": event.time_s, "app": profile.name})
+        return event
+
+    def notify_eviction(self, app: str) -> DepartureEvent:
+        """E3 (forced variant): the mediator removed ``app`` before it ran
+        out of work (a crash or a cancellation). Natural completions are
+        raised by :meth:`poll` instead."""
+        event = DepartureEvent(time_s=self._server.now_s, app=app, completed=False)
+        self._log.append(event)
+        self.trace_bus.emit(
+            "departure", {"at_s": event.time_s, "app": app, "completed": False}
+        )
         return event
 
     def adopt_plan(self, plan: AllocationPlan) -> None:

@@ -12,7 +12,10 @@ One mediator manages one server under one policy:
   asks the policy for an :class:`~repro.core.coordinator.AllocationPlan`,
   and hands the plan to the Coordinator, which executes it tick by tick;
 * it records a per-tick **timeline** (powers, knobs, battery state) from
-  which every figure of the paper is rebuilt.
+  which every figure of the paper is rebuilt. A long-running service seals
+  that history at each durable checkpoint (:meth:`PowerMediator.seal_history`)
+  into a fixed-size :class:`~repro.core.history.SealedHistory`, so its
+  memory and checkpoints stay bounded in run length.
 
 Overheads are charged honestly: an arriving application spends the
 calibration/re-allocation latency (~800 ms on the paper's server) suspended
@@ -49,6 +52,7 @@ from repro.adversary.plan import AdversarySchedule, AdversarySpec
 from repro.core.accountant import Accountant
 from repro.core.coordinator import AllocationPlan, CoordinationMode, Coordinator, TimeSlot
 from repro.core.events import DepartureEvent, Event, PhaseChangeEvent
+from repro.core.history import SealedHistory
 from repro.core.policies import AppResAwarePolicy, Policy, PolicyContext
 from repro.core.resilience import (
     ActuationRetrier,
@@ -108,6 +112,12 @@ def _default_estimator(config: ServerConfig) -> CollaborativeEstimator:
         estimator.train(_default_corpus(config))
         _DEFAULT_ESTIMATORS[config] = estimator
     return estimator
+
+
+#: How a checkpoint writes an app's estimate when it *is* the app's oracle
+#: set (oracle mode, or a policy that does not learn): a reference instead
+#: of a second copy of the same candidate set (~12 KB per app).
+_ESTIMATE_IS_ORACLE = "oracle"
 
 
 @dataclass(frozen=True)
@@ -309,6 +319,11 @@ class PowerMediator:
         self._profiler = PhaseProfiler()
         self._trace = NULL_TRACE_BUS
         self._timeline: list[TickRecord] = []
+        #: Ticks executed so far and the end time of the newest one. Plain
+        #: attributes, not derived from the timeline, which sealing trims.
+        self._ticks = 0
+        self._last_tick_s = 0.0
+        self._history = SealedHistory()
 
         self._coordinator = Coordinator(server)
         self._accountant = Accountant(server)
@@ -375,8 +390,20 @@ class PowerMediator:
 
     @property
     def timeline(self) -> list[TickRecord]:
-        """The recorded per-tick history (live list; treat as read-only)."""
+        """The per-tick records since the last :meth:`seal_history` (live
+        list; treat as read-only).
+
+        A mediator that never seals - every experiment driver and supervised
+        run - holds its whole run here; a service's mediator holds only the
+        ticks since its last checkpoint, the rest live in :attr:`history`.
+        """
         return self._timeline
+
+    @property
+    def history(self) -> SealedHistory:
+        """The fixed-size summary of every sealed tick, event and departure
+        (all zero until the first :meth:`seal_history`)."""
+        return self._history
 
     @property
     def battery(self) -> LeadAcidBattery | None:
@@ -419,9 +446,8 @@ class PowerMediator:
         self._trace = bus
         self._coordinator.trace_bus = bus
         self._accountant.trace_bus = bus
-        if self._timeline:
-            last = self._timeline[-1]
-            bus.begin_tick(len(self._timeline) - 1, last.time_s - self._dt_s)
+        if self._ticks:
+            bus.begin_tick(self._ticks - 1, self._last_tick_s - self._dt_s)
         else:
             bus.begin_tick(0, self._server.now_s)
 
@@ -431,7 +457,7 @@ class PowerMediator:
         Counters/gauges/histograms are deterministic per seed; the
         ``profile`` section is wall-clock and is not.
         """
-        self._metrics.gauge("mediator.ticks").set(float(len(self._timeline)))
+        self._metrics.gauge("mediator.ticks").set(float(self._ticks))
         self._metrics.gauge("mediator.managed_apps").set(float(len(self._managed)))
         if self._battery is not None:
             self._metrics.gauge("esd.soc").set(self._battery.soc)
@@ -484,8 +510,8 @@ class PowerMediator:
 
     @property
     def tick_count(self) -> int:
-        """Ticks executed so far (== recorded timeline length)."""
-        return len(self._timeline)
+        """Ticks executed so far (== sealed ticks + :attr:`timeline` length)."""
+        return self._ticks
 
     @property
     def safe_hold_remaining(self) -> int:
@@ -500,11 +526,17 @@ class PowerMediator:
         """Final handle of a departed application.
 
         Raises:
-            SchedulingError: if the app never finished here.
+            SchedulingError: if the app never finished here, or if
+                departures were sealed (the app may be one of them).
         """
         try:
             return self._finished[app]
         except KeyError:
+            if self._history.departed:
+                raise SchedulingError(
+                    f"{app!r} is not among the departures since the last seal; "
+                    f"{self._history.departed} earlier ones were sealed"
+                ) from None
             raise SchedulingError(f"{app!r} has not finished on this server") from None
 
     def peak_rate_of(self, app: str) -> float:
@@ -534,8 +566,13 @@ class PowerMediator:
         in full. Derived artifacts (corpus, trained estimator, population
         view, fallback policy) are deliberately absent - they are
         deterministic functions of the recipe and rebuild lazily.
+
+        The history travels as it stands: the timeline and event log since
+        the last :meth:`seal_history` (a mediator that never seals carries
+        its whole run) plus the sealed summary.
         """
         esd = self._coordinator.esd_controller
+        oracle = self._oracle
         return {
             "rng": self._rng.bit_generator.state,
             "server": self._server.state_dict(),
@@ -558,9 +595,13 @@ class PowerMediator:
             "finished_peaks": {
                 name: float(rate) for name, rate in self._finished_peaks.items()
             },
-            "estimates": {name: cs.to_dict() for name, cs in self._estimates.items()},
-            "oracle": {name: cs.to_dict() for name, cs in self._oracle.items()},
+            "estimates": {
+                name: _ESTIMATE_IS_ORACLE if cs is oracle.get(name) else cs.to_dict()
+                for name, cs in self._estimates.items()
+            },
+            "oracle": {name: cs.to_dict() for name, cs in oracle.items()},
             "timeline": [_tick_record_to_dict(r) for r in self._timeline],
+            "history": self._history.to_dict(),
             "calibration_pending_s": self._calibration_pending_s,
             "coordinator": self._coordinator.state_dict(),
             "esd_controller": None if esd is None else esd.state_dict(),
@@ -637,14 +678,31 @@ class PowerMediator:
         self._finished_peaks = {
             name: float(rate) for name, rate in state["finished_peaks"].items()
         }
-        self._estimates = {
-            name: CandidateSet.from_dict(data)
-            for name, data in state["estimates"].items()
-        }
         self._oracle = {
             name: CandidateSet.from_dict(data) for name, data in state["oracle"].items()
         }
+        # An aliased estimate re-links to the oracle object, as
+        # _refresh_views left it; older checkpoints hold two equal copies.
+        self._estimates = {
+            name: (
+                self._oracle[name]
+                if data == _ESTIMATE_IS_ORACLE
+                else CandidateSet.from_dict(data)
+            )
+            for name, data in state["estimates"].items()
+        }
         self._timeline = [_tick_record_from_dict(r) for r in state["timeline"]]
+        # Snapshots from before sealing lack the key: nothing was sealed.
+        self._history = (
+            SealedHistory.from_dict(state["history"])
+            if "history" in state
+            else SealedHistory()
+        )
+        self._ticks = self._history.ticks + len(self._timeline)
+        if self._timeline:
+            self._last_tick_s = self._timeline[-1].time_s
+        elif self._history.last_time_s is not None:
+            self._last_tick_s = self._history.last_time_s
         self._calibration_pending_s = float(state["calibration_pending_s"])
         esd = None
         if state["esd_controller"] is not None:
@@ -678,6 +736,29 @@ class PowerMediator:
             self._adversary.load_state_dict(state["adversary"])
         if "trust" in state:
             self._trust.load_state_dict(state["trust"])
+
+    def seal_history(self) -> None:
+        """Fold the recorded past into :attr:`history` and drop it.
+
+        Every unsealed :class:`TickRecord`, every Accountant event and every
+        departed application's handle (with its peak rate) is folded, in
+        order, into the fixed-size :class:`~repro.core.history.SealedHistory`
+        and released. Nothing a future tick reads is touched, so sealing
+        never changes what the run does next. Readers that need sealed
+        detail (:meth:`normalized_throughput` over a sealed window,
+        :meth:`server_objective`, :meth:`finished_handle` of a sealed app)
+        raise instead of returning a partial answer.
+
+        The service calls this just before each durable checkpoint, which
+        keeps its memory and checkpoint size bounded in run length.
+        Closed-loop drivers never call it.
+        """
+        self._history.fold_ticks(self._timeline)
+        self._timeline = []
+        self._history.fold_events(self._accountant.drain_events())
+        self._history.fold_departures(self._finished.values())
+        self._finished = {}
+        self._finished_peaks = {}
 
     # ------------------------------------------------------------- messages
 
@@ -740,13 +821,7 @@ class PowerMediator:
         self._trust.forget(app)
         if not completed:
             # Natural completions were already logged by the Accountant.
-            self._accountant._log.append(  # noqa: SLF001 - mediator is the owner
-                DepartureEvent(time_s=self._server.now_s, app=app, completed=False)
-            )
-            self._trace.emit(
-                "departure",
-                {"at_s": self._server.now_s, "app": app, "completed": False},
-            )
+            self._accountant.notify_eviction(app)
         if self._managed:
             self.reallocate()
         return handle
@@ -1018,7 +1093,7 @@ class PowerMediator:
 
     def _one_tick(self) -> None:
         dt = self._dt_s
-        self._trace.begin_tick(len(self._timeline), self._server.now_s)
+        self._trace.begin_tick(self._ticks, self._server.now_s)
         if self._injector is not None:
             with self._profiler.phase("faults"):
                 self._apply_faults()
@@ -1070,6 +1145,8 @@ class PowerMediator:
             breach=breach,
         )
         self._timeline.append(record)
+        self._ticks += 1
+        self._last_tick_s = record.time_s
         self._record_tick(record, action)
         if tick_knobs:
             # Must run before the phase-boundary swap: the evidence is
@@ -1318,7 +1395,7 @@ class PowerMediator:
                     observable=observable,
                 )
             )
-        transitions = self._trust.observe(len(self._timeline) - 1, observations)
+        transitions = self._trust.observe(self._ticks - 1, observations)
         if not transitions:
             return
         trace_kind = {
@@ -1511,13 +1588,32 @@ class PowerMediator:
 
     # -------------------------------------------------------------- metrics
 
+    def records_since(self, since_s: float) -> list[TickRecord]:
+        """The timeline records after ``since_s``.
+
+        Raises:
+            SimulationError: when sealed ticks fall in the window - the
+                records are gone, and a partial window would be wrong.
+        """
+        last_sealed = self._history.last_time_s
+        if last_sealed is not None and last_sealed > since_s:
+            raise SimulationError(
+                f"the window after t={since_s:.2f} s reaches into "
+                f"{self._history.ticks} sealed ticks (sealed up to "
+                f"t={last_sealed:.2f} s)"
+            )
+        return [r for r in self._timeline if r.time_s > since_s]
+
     def normalized_throughput(self, app: str, *, since_s: float = 0.0) -> float:
         """``(work done / elapsed) / peak_rate`` over the recorded timeline.
 
         This is the per-application term of objective (1) measured over the
         experiment window rather than predicted by the allocator.
+
+        Raises:
+            SimulationError: when the window reaches into sealed ticks.
         """
-        records = [r for r in self._timeline if r.time_s > since_s]
+        records = self.records_since(since_s)
         if not records:
             return 0.0
         work = sum(r.progressed.get(app, 0.0) for r in records)
@@ -1530,6 +1626,16 @@ class PowerMediator:
         return (work / elapsed) / self.peak_rate_of(app)
 
     def server_objective(self, *, since_s: float = 0.0) -> float:
-        """Sum of normalized throughputs over all known apps (objective 1)."""
+        """Sum of normalized throughputs over all known apps (objective 1).
+
+        Raises:
+            SimulationError: when departures were sealed (their terms are
+                gone) or the window reaches into sealed ticks.
+        """
+        if self._history.departed:
+            raise SimulationError(
+                f"{self._history.departed} departed apps were sealed; the "
+                "server objective needs every app's throughput"
+            )
         names = set(self._managed) | set(self._finished)
         return sum(self.normalized_throughput(n, since_s=since_s) for n in names)

@@ -36,7 +36,7 @@ from repro.workloads.profiles import WorkloadProfile
 def verify_cap_invariant(
     mediator: PowerMediator, *, tolerance_w: float = 1e-6
 ) -> int:
-    """Post-run audit of the cap invariant over the recorded timeline.
+    """Post-run audit of the cap invariant over the recorded history.
 
     Every tick must satisfy ``wall <= cap + tolerance`` *unless* the tick is
     flagged as a breach (the emergency throttle fired and the next tick is
@@ -44,13 +44,26 @@ def verify_cap_invariant(
     also agree with the mediator's breach counter, so violations surface
     through accounting instead of hiding in the timeline.
 
+    Ticks a service mediator sealed are audited through its
+    :attr:`~repro.core.mediator.PowerMediator.history`: their flagged count
+    joins the window's, and any silent over-cap tick the seal found (judged
+    at :data:`~repro.units.POWER_EPSILON_W`) raises like one in the window.
+
     Returns:
         The number of (flagged) breach ticks.
 
     Raises:
         SimulationError: on a silent violation or a counter mismatch.
     """
-    flagged = 0
+    history = mediator.history
+    if history.first_silent is not None:
+        time_s, wall_w, cap_w = history.first_silent
+        raise SimulationError(
+            f"sealed history records wall {wall_w:.3f} W over cap "
+            f"{cap_w:.3f} W at t={time_s:.2f} s without a breach flag "
+            f"({history.silent_over_cap} such sealed ticks)"
+        )
+    flagged = history.breach_ticks
     for record in mediator.timeline:
         over = record.wall_w > record.p_cap_w + tolerance_w
         if over and not record.breach:
@@ -64,7 +77,7 @@ def verify_cap_invariant(
     counted = mediator.fault_stats.breach_ticks
     if flagged != counted:
         raise SimulationError(
-            f"timeline flags {flagged} breach ticks but the fault counter "
+            f"history flags {flagged} breach ticks but the fault counter "
             f"recorded {counted}"
         )
     return flagged
@@ -213,6 +226,10 @@ def summarize_mix_run(
     (supervised and chaos-soak runs), so an interrupted-and-recovered run is
     scored by exactly the same arithmetic as an uninterrupted one. Also
     enforces :func:`verify_cap_invariant`.
+
+    Raises:
+        SimulationError: when the window after ``warmup_s`` reaches into
+            ticks the mediator sealed.
     """
     names = [p.name for p in apps]
     throughput = {
@@ -224,7 +241,7 @@ def summarize_mix_run(
         for name in names:
             if name in plan.allocation.apps:
                 shares[name] = plan.allocation.share_of(name)
-    window = [r for r in mediator.timeline if r.time_s > warmup_s]
+    window = mediator.records_since(warmup_s)
     mean_wall = sum(r.wall_w for r in window) / len(window) if window else 0.0
     verify_cap_invariant(mediator)
     return MixExperimentResult(

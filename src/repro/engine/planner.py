@@ -268,7 +268,7 @@ class MediatedFleet:
             # Rejected promotion (DESIGN.md §13): slot rotation actuates
             # knobs on every slot edge through a carry-over elapsed cursor.
             return 0, "time-rotation"
-        if not m._timeline:
+        if not m._ticks:
             return 0, "cold-start"
         sleep = server._sleep
         if sleep._pending_wake_penalty_s != 0.0:
@@ -661,6 +661,8 @@ class MediatedFleet:
                     breach=False,
                 )
             )
+        m._ticks += k
+        m._last_tick_s = float(times[k])
 
         # Metrics: k observations of constant values, in closed form.
         registry = m._metrics

@@ -24,6 +24,7 @@ from repro.persistence.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
     RunRecipe,
+    atomic_write_json,
     checkpoint_filename,
     latest_checkpoint,
     read_checkpoint,
@@ -75,6 +76,7 @@ __all__ = [
     "SegmentedJournalWriter",
     "SetCap",
     "Supervisor",
+    "atomic_write_json",
     "checkpoint_filename",
     "command_from_dict",
     "command_to_dict",

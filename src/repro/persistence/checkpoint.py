@@ -26,9 +26,10 @@ the "relearn cost avoided" the recovery accounting reports, since the
 *calibration samples* (the expensive online measurements) do travel in the
 candidate-set snapshots.
 
-Writes are atomic (tmp file + fsync + rename), so a crash mid-checkpoint
-leaves the previous checkpoint intact. Loads validate schema and version
-before touching any field and fail with a one-line
+Writes go through :func:`atomic_write_json` - the C JSON encoder, then tmp
+file + fsync + rename - so a crash mid-checkpoint leaves the previous
+checkpoint intact; the service's checkpoints use the same writer. Loads
+validate schema and version before touching any field and fail with a one-line
 :class:`~repro.errors.CheckpointError` naming the offending path - never a
 traceback from deep inside a codec.
 """
@@ -249,6 +250,31 @@ class RunRecipe:
 # --------------------------------------------------------------- file layer
 
 
+def atomic_write_json(path: str | Path, doc: dict) -> None:
+    """Atomically replace ``path`` with the JSON encoding of ``doc``.
+
+    ``json.dumps`` runs the C encoder over the whole document at once
+    (``json.dump`` to a handle walks the pure-Python ``_iterencode``); the
+    text then goes to ``<path>.tmp``, is flushed and fsynced, and renamed
+    over ``path``, so readers see the old file or the new one, never half
+    of one. The bytes equal ``json.dumps(doc)``.
+
+    Raises:
+        CheckpointError: when the file cannot be written.
+    """
+    path = Path(path)
+    text = json.dumps(doc)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
+
+
 def checkpoint_filename(tick: int) -> str:
     """Canonical file name for the checkpoint taken at ``tick``."""
     return f"ckpt-{tick:08d}.json"
@@ -277,16 +303,11 @@ def write_checkpoint(
         "state": mediator.state_dict(),
     }
     path = directory / checkpoint_filename(mediator.tick_count)
-    tmp = path.with_name(path.name + ".tmp")
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
+    atomic_write_json(path, doc)
     return path
 
 

@@ -18,10 +18,12 @@ traffic. Each sim-time tick executes a fixed pipeline:
    mediator, and acknowledged to its client;
 6. **mediate** - one mediator tick (allocation, actuation, accounting);
 7. **publish** - completion deliveries and periodic telemetry broadcasts;
-8. **durability** - the tick is journaled; on the checkpoint cadence a
-   service checkpoint (mediator recipe + state, population cursor, ingest
-   buffer, sessions, pending offers, metrics) lands atomically, its journal
-   marker is fsynced, and retention compacts everything behind it.
+8. **durability** - the tick is journaled; on the checkpoint cadence the
+   mediator seals its history (timeline, event log, departed apps fold
+   into a fixed-size summary), a service checkpoint (mediator recipe +
+   state, population cursor, ingest buffer, sessions, pending offers,
+   metrics) lands atomically, its journal marker is fsynced, and retention
+   compacts everything behind it.
 
 **Crash model.** A :class:`ServiceKilled` raised by the kill hook destroys
 the in-flight process state; the journal keeps only what was fsynced (a
@@ -57,7 +59,7 @@ from repro.errors import (
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.streaming import StreamingTraceBus
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
-from repro.persistence.checkpoint import RunRecipe
+from repro.persistence.checkpoint import RunRecipe, atomic_write_json
 from repro.persistence.segments import (
     SegmentedJournalWriter,
     read_segmented,
@@ -613,6 +615,10 @@ class MediatorService:
 
     def _checkpoint(self) -> None:
         assert self._journal is not None
+        # The mediator's past is output no future tick reads: fold it into
+        # the fixed-size sealed summary, so this snapshot (and the memory
+        # behind it) holds only what has happened since the last one.
+        self._mediator.seal_history()
         doc = {
             "schema": SERVICE_CHECKPOINT_SCHEMA,
             "version": SERVICE_CHECKPOINT_VERSION,
@@ -631,15 +637,7 @@ class MediatorService:
             "metrics": self.metrics.to_json(),
         }
         path = self._checkpoint_dir / f"svc-{self._tick:08d}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
+        atomic_write_json(path, doc)
         # The mark pins the sim-event prefix this snapshot captured; kept
         # in memory only, like the supervisor's (a restart that outlives
         # the process also restarts the trace).

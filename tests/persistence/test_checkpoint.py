@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from repro.chaos import mix_recipe
 from repro.errors import CheckpointError
 from repro.persistence import (
     RunRecipe,
+    atomic_write_json,
     checkpoint_filename,
     latest_checkpoint,
     read_checkpoint,
@@ -198,3 +200,25 @@ def test_no_tmp_file_left_behind(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(stream, kmeans)
     write_checkpoint(tmp_path, mediator, recipe)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_json_writes_the_c_encoders_bytes(tmp_path, stream, kmeans):
+    recipe, mediator = _started_mediator(stream, kmeans)
+    doc = {"recipe": recipe.to_dict(), "state": mediator.state_dict()}
+    path = tmp_path / "doc.json"
+    atomic_write_json(path, doc)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(doc)
+    # Byte-identical to the streaming writer it replaced.
+    streamed = io.StringIO()
+    json.dump(doc, streamed)
+    assert text == streamed.getvalue()
+    assert json.loads(text) == json.loads(json.dumps(doc))
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_json_failure_is_one_line(tmp_path):
+    missing = tmp_path / "no-such-dir" / "doc.json"
+    with pytest.raises(CheckpointError, match="cannot write checkpoint") as info:
+        atomic_write_json(missing, {"a": 1})
+    assert "\n" not in str(info.value)

@@ -70,6 +70,8 @@ def test_miniature_soak(tmp_path):
     assert report.replayed_deliveries > 0
     assert report.counters["service.ingest.safety_shed"] == 0
     assert report.counters["service.commands.cap_applied"] == 3
+    assert report.checkpoint_bytes_max > 0
+    assert report.checkpoint_growth <= 1.1
 
 
 def test_soak_rejects_unmet_expectations(tmp_path):
@@ -92,7 +94,8 @@ def test_soak_rejects_unmet_expectations(tmp_path):
 def test_acceptance_soak_50k(tmp_path):
     """ISSUE 6 acceptance: a seeded 50k-tick open-loop soak with client
     churn, ingest overload, and mid-stream supervisor kill/restart holds
-    the cap at every tick, keeps footprints bounded, never sheds a
+    the cap at every tick, keeps footprints (mediator history and
+    checkpoint bytes included) bounded, never sheds a
     cap-safety command, replays every reconnect gap-free, and stitches a
     trace that hashes identically to the uninterrupted run."""
     config = _config(
@@ -121,6 +124,7 @@ def test_acceptance_soak_50k(tmp_path):
     assert report.counters["service.ingest.safety_shed"] == 0
     assert report.shed_commands > 0
     assert report.replayed_deliveries > 0
+    assert report.checkpoint_growth <= 1.1
     out = os.environ.get("REPRO_SOAK_REPORT")
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -134,6 +138,8 @@ def test_acceptance_soak_50k(tmp_path):
                     "shed_commands": report.shed_commands,
                     "replayed_deliveries": report.replayed_deliveries,
                     "trace_hash": report.trace_hash,
+                    "checkpoint_bytes_max": report.checkpoint_bytes_max,
+                    "checkpoint_growth": report.checkpoint_growth,
                     "counters": report.counters,
                 },
                 handle,
