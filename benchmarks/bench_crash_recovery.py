@@ -24,8 +24,7 @@ import pytest
 from benchmarks._tiny import pick, tiny
 from repro.analysis.metrics import summarize_recovery
 from repro.analysis.reporting import banner, format_table
-from repro.chaos import kill_schedule, run_chaos_mix, run_script, mix_recipe
-from repro.server.config import ServerConfig
+from repro.chaos import kill_schedule, mix_recipe, run_chaos_mix, run_script
 from repro.workloads.mixes import get_mix
 
 CAP_W = 80.0
@@ -38,17 +37,7 @@ CHECKPOINT_EVERY = pick(50, 5)
 def test_warm_recovery_vs_cold_relearn(benchmark, emit, tmp_path, bench_metrics):
     apps = list(get_mix(10).profiles())
     recipe, script = mix_recipe(
-        apps,
-        "app+res-aware",
-        CAP_W,
-        config=ServerConfig(),
-        duration_s=DURATION_S,
-        warmup_s=WARMUP_S,
-        use_oracle_estimates=False,
-        dt_s=0.1,
-        seed=1,
-        faults=None,
-        resilience=None,
+        apps, "app+res-aware", CAP_W, duration_s=DURATION_S, warmup_s=WARMUP_S, seed=1
     )
     baseline = run_script(recipe, script)
     total_ticks = baseline.tick_count
@@ -56,15 +45,12 @@ def test_warm_recovery_vs_cold_relearn(benchmark, emit, tmp_path, bench_metrics)
 
     chaos = benchmark.pedantic(
         lambda: run_chaos_mix(
-            apps,
-            "app+res-aware",
-            CAP_W,
+            recipe,
+            script,
             workdir=tmp_path,
             kill_ticks=kills,
-            mix_id=10,
-            duration_s=DURATION_S,
             warmup_s=WARMUP_S,
-            seed=1,
+            mix_id=10,
             checkpoint_every_ticks=CHECKPOINT_EVERY,
             baseline=baseline,
         ),

@@ -16,6 +16,12 @@ The control-plane arm (:mod:`repro.chaos.hierarchy`) attacks the fabric
 that hands the budget down: partitions, loss, leaf kills, failure-domain
 outages and stale-checkpoint controller restarts against a budget tree.
 ``fanouts=(n,)`` runs it on the flat n-server cluster (the one-level tree).
+
+The service arm (:mod:`repro.chaos.service`) kills a streaming
+:class:`~repro.service.loop.MediatorService` mid-stream under client churn
+and ingest overload. Every arm draws its kill ticks with
+:func:`~repro.chaos.harness.kill_schedule`; process kills fire through one
+:func:`~repro.chaos.harness.kill_at` hook.
 """
 
 from repro.chaos.adversary import (
@@ -32,6 +38,7 @@ from repro.chaos.adversary import (
 from repro.chaos.harness import (
     ChaosRunResult,
     ChaosSoakResult,
+    kill_at,
     kill_schedule,
     mix_recipe,
     run_chaos_mix,
@@ -42,8 +49,6 @@ from repro.chaos.service import (
     ChurnSchedule,
     ServiceSoakReport,
     run_service_soak,
-    service_kill_hook,
-    service_kill_ticks,
 )
 from repro.chaos.hierarchy import (
     HierarchyChaosResult,
@@ -69,6 +74,7 @@ __all__ = [
     "HierarchySoakResult",
     "ServiceSoakReport",
     "default_attack_scenario",
+    "kill_at",
     "kill_outages",
     "kill_schedule",
     "mix_recipe",
@@ -82,6 +88,4 @@ __all__ = [
     "run_chaos_soak",
     "run_script",
     "run_service_soak",
-    "service_kill_hook",
-    "service_kill_ticks",
 ]

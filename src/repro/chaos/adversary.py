@@ -48,24 +48,23 @@ aggregates detection latency and false-positive-rate metrics for CI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.adversary.plan import (
     ADVERSARY_KINDS,
     AdversarySchedule,
     default_adversary_schedule,
 )
+from repro.chaos.harness import merge_run_metrics
 from repro.core.mediator import PowerMediator
-from repro.core.policies import Policy, make_policy
 from repro.core.simulation import (
     MixExperimentResult,
-    default_battery,
+    run_mix_mediator,
     summarize_mix_run,
 )
 from repro.core.trust import DefenseConfig
 from repro.errors import ChaosError, ConfigurationError, SimulationError
-from repro.observability.metrics import MetricsRegistry
 from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
-from repro.server.server import SimulatedServer
 from repro.workloads.mixes import get_mix
 from repro.workloads.profiles import WorkloadProfile
 
@@ -257,11 +256,7 @@ class AdversarySoakResult:
 
     def metrics(self) -> dict:
         """Soak-wide metrics: every defended arm's registry merged."""
-        merged = MetricsRegistry()
-        for run in self.runs:
-            if run.defended.metrics is not None:
-                merged = merged.merge(MetricsRegistry.from_json(run.defended.metrics))
-        return merged.to_json()
+        return merge_run_metrics(run.defended for run in self.runs)
 
     def report(self) -> dict:
         """JSON-ready soak report (the CI artifact's payload)."""
@@ -279,44 +274,6 @@ class AdversarySoakResult:
             "detection_bounds_ticks": dict(DETECTION_BOUND_TICKS),
             "retention_floors": dict(HONEST_RETENTION_FLOOR),
         }
-
-
-def _run_arm(
-    apps: list[WorkloadProfile],
-    policy: Policy | str,
-    p_cap_w: float,
-    *,
-    config: ServerConfig,
-    dt_s: float,
-    seed: int,
-    adversaries: AdversarySchedule | None,
-    defense: DefenseConfig | None,
-    total_s: float,
-) -> PowerMediator:
-    """One arm of the comparison: the :func:`run_mix_experiment` build path,
-    but returning the mediator so the caller can read the trust log."""
-    if isinstance(policy, str):
-        policy = make_policy(policy)
-    battery = default_battery() if policy.uses_esd else None
-    server = SimulatedServer(config, seed=seed)
-    mediator = PowerMediator(
-        server,
-        policy,
-        p_cap_w,
-        battery=battery,
-        use_oracle_estimates=True,
-        dt_s=dt_s,
-        seed=seed,
-        adversaries=adversaries,
-        defense=defense,
-    )
-    for profile in apps:
-        # Steady-state runs must not see departures; give everyone ample work.
-        mediator.add_application(
-            profile.with_total_work(float("inf")), skip_overhead=True
-        )
-    mediator.run_for(total_s)
-    return mediator
 
 
 def _summarize(
@@ -411,19 +368,24 @@ def run_adversary_mix(
     defense_on = defense if defense is not None else DefenseConfig()
     defense_off = DefenseConfig(enabled=False)
 
+    # Every arm is the run_mix_experiment build; only the attack and the
+    # defense differ between them.
+    run_arm = partial(
+        run_mix_mediator,
+        apps,
+        scenario.policy,
+        scenario.p_cap_w,
+        config=config,
+        duration_s=scenario.duration_s,
+        warmup_s=scenario.warmup_s,
+        use_oracle_estimates=True,
+        dt_s=dt_s,
+        seed=seed,
+    )
+
     # --- arm 1: all-honest control (defense armed, nothing to catch) ------
     if baseline is None:
-        baseline = _run_arm(
-            apps,
-            scenario.policy,
-            scenario.p_cap_w,
-            config=config,
-            dt_s=dt_s,
-            seed=seed,
-            adversaries=None,
-            defense=defense_on,
-            total_s=scenario.total_s,
-        )
+        baseline = run_arm(defense=defense_on)
     base_summary = _summarize(
         baseline, apps, warmup_s=scenario.warmup_s, mix_id=mix_id, arm="all-honest"
     )
@@ -438,17 +400,7 @@ def run_adversary_mix(
         )
 
     # --- arm 2: adversarial, defended -------------------------------------
-    defended = _run_arm(
-        apps,
-        scenario.policy,
-        scenario.p_cap_w,
-        config=config,
-        dt_s=dt_s,
-        seed=seed,
-        adversaries=schedule,
-        defense=defense_on,
-        total_s=scenario.total_s,
-    )
+    defended = run_arm(adversaries=schedule, defense=defense_on)
     defended_summary = _summarize(
         defended, apps, warmup_s=scenario.warmup_s, mix_id=mix_id, arm="defended"
     )
@@ -504,17 +456,7 @@ def run_adversary_mix(
     # --- arm 3: adversarial, undefended (the defense must pay its way) ----
     undefended_summary: MixExperimentResult | None = None
     if compare_undefended:
-        undefended = _run_arm(
-            apps,
-            scenario.policy,
-            scenario.p_cap_w,
-            config=config,
-            dt_s=dt_s,
-            seed=seed,
-            adversaries=schedule,
-            defense=defense_off,
-            total_s=scenario.total_s,
-        )
+        undefended = run_arm(adversaries=schedule, defense=defense_off)
         undefended_summary = _summarize(
             undefended, apps, warmup_s=scenario.warmup_s, mix_id=mix_id,
             arm="undefended",
@@ -568,16 +510,17 @@ def run_adversary_soak(
             scenario = default_attack_scenario(kind)
             key = (scenario.policy, scenario.p_cap_w, scenario.total_s, seed)
             if key not in baselines:
-                baselines[key] = _run_arm(
+                baselines[key] = run_mix_mediator(
                     list(get_mix(mix_id).profiles()),
                     scenario.policy,
                     scenario.p_cap_w,
                     config=config,
+                    duration_s=scenario.duration_s,
+                    warmup_s=scenario.warmup_s,
+                    use_oracle_estimates=True,
                     dt_s=dt_s,
                     seed=seed,
-                    adversaries=None,
                     defense=DefenseConfig(),
-                    total_s=scenario.total_s,
                 )
             runs.append(
                 run_adversary_mix(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from repro.persistence.supervisor import (
     Command,
     MediatorKilled,
     RecoveryStats,
-    SetCap,
     Supervisor,
+    apply_command,
 )
 from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
 from repro.workloads.profiles import WorkloadProfile
@@ -68,6 +69,24 @@ def kill_schedule(total_ticks: int, kills: int, seed: int) -> list[int]:
     return sorted(int(t) for t in picks)
 
 
+def kill_at(ticks: Iterable[int]) -> Callable[[int], None]:
+    """A ``tick_hook`` raising :class:`MediatorKilled` at each of ``ticks``.
+
+    Serves both the :class:`Supervisor` and the streaming
+    :class:`~repro.service.loop.MediatorService`. Each tick fires once:
+    recovery re-executes ticks the crash destroyed, and the replayed pass
+    through a kill tick must not die again.
+    """
+    pending = set(ticks)
+
+    def hook(tick: int) -> None:
+        if tick in pending:
+            pending.discard(tick)
+            raise MediatorKilled(f"chaos kill at tick {tick}")
+
+    return hook
+
+
 def run_script(
     recipe: RunRecipe, script: list[Command], *, trace_bus: TraceBus | None = None
 ) -> PowerMediator:
@@ -84,19 +103,7 @@ def run_script(
     if trace_bus is not None:
         mediator.attach_trace_bus(trace_bus)
     for command in script:
-        if isinstance(command, Advance):
-            mediator.run_for(command.duration_s)
-        elif isinstance(command, AdmitApp):
-            mediator.add_application(
-                command.profile,
-                phased=command.phased,
-                group_width=command.group_width,
-                skip_overhead=command.skip_overhead,
-            )
-        elif isinstance(command, SetCap):
-            mediator.set_power_cap(command.p_cap_w)
-        else:
-            raise ConfigurationError(f"not a script command: {command!r}")
+        apply_command(mediator, command)
     return mediator
 
 
@@ -150,11 +157,16 @@ class ChaosSoakResult:
 
     def metrics(self) -> dict:
         """Soak-wide metrics: every run's registry merged associatively."""
-        merged = MetricsRegistry()
-        for run in self.runs:
-            if run.result.metrics is not None:
-                merged = merged.merge(MetricsRegistry.from_json(run.result.metrics))
-        return merged.to_json()
+        return merge_run_metrics(run.result for run in self.runs)
+
+
+def merge_run_metrics(results: Iterable[MixExperimentResult]) -> dict:
+    """Merge the metrics of many mix runs into one soak-wide JSON document."""
+    merged = MetricsRegistry()
+    for result in results:
+        if result.metrics is not None:
+            merged = merged.merge(MetricsRegistry.from_json(result.metrics))
+    return merged.to_json()
 
 
 def mix_recipe(
@@ -162,14 +174,14 @@ def mix_recipe(
     policy: Policy | str,
     p_cap_w: float,
     *,
-    config: ServerConfig,
-    duration_s: float,
-    warmup_s: float,
-    use_oracle_estimates: bool,
-    dt_s: float,
-    seed: int,
-    faults: FaultPlan | None,
-    resilience: ResilienceConfig | None,
+    config: ServerConfig = DEFAULT_SERVER_CONFIG,
+    duration_s: float = 10.0,
+    warmup_s: float = 4.0,
+    use_oracle_estimates: bool = False,
+    dt_s: float = 0.1,
+    seed: int = 0,
+    faults: FaultPlan | None = None,
+    resilience: ResilienceConfig | None = None,
 ) -> tuple[RunRecipe, list[Command]]:
     """The recipe + script equivalent of :func:`run_mix_experiment`."""
     if not apps:
@@ -209,21 +221,13 @@ def _check_battery_ledger(mediator: PowerMediator, kill_ticks: list[int]) -> Non
 
 
 def run_chaos_mix(
-    apps: list[WorkloadProfile],
-    policy: Policy | str,
-    p_cap_w: float,
+    recipe: RunRecipe,
+    script: list[Command],
     *,
     workdir: str | Path,
     kill_ticks: list[int],
+    warmup_s: float,
     mix_id: int = 0,
-    config: ServerConfig = DEFAULT_SERVER_CONFIG,
-    duration_s: float = 10.0,
-    warmup_s: float = 4.0,
-    use_oracle_estimates: bool = False,
-    dt_s: float = 0.1,
-    seed: int = 0,
-    faults: FaultPlan | None = None,
-    resilience: ResilienceConfig | None = None,
     checkpoint_every_ticks: int = 50,
     fsync_every_ticks: int = 25,
     safe_hold_ticks: int = 0,
@@ -232,11 +236,13 @@ def run_chaos_mix(
     baseline: PowerMediator | None = None,
     trace_bus: TraceBus | None = None,
 ) -> ChaosRunResult:
-    """One supervised mix run with scheduled mediator kills.
+    """One supervised run of a :func:`mix_recipe` with scheduled kills.
 
     Args:
-        kill_ticks: Ticks at which the mediator dies (each fires once; after
-            recovery the tick counter replays through the same values).
+        recipe, script: The run, as :func:`mix_recipe` builds it.
+        kill_ticks: Ticks at which the mediator dies (see :func:`kill_at`).
+        warmup_s: Settling window the summaries exclude (the one the
+            script was built with).
         baseline: A pre-run uninterrupted mediator for the same recipe and
             script (the soak shares one); computed here when ``None``.
         utility_tolerance: Relative server-throughput tolerance vs baseline.
@@ -249,39 +255,20 @@ def run_chaos_mix(
     Raises:
         ChaosError: when any recovery invariant fails.
     """
-    recipe, script = mix_recipe(
-        apps,
-        policy,
-        p_cap_w,
-        config=config,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-        use_oracle_estimates=use_oracle_estimates,
-        dt_s=dt_s,
-        seed=seed,
-        faults=faults,
-        resilience=resilience,
-    )
+    apps = [command.profile for command in script if isinstance(command, AdmitApp)]
     if baseline is None:
         baseline_bus = TraceBus() if trace_bus is not None else None
         baseline = run_script(recipe, script, trace_bus=baseline_bus)
     base_summary = summarize_mix_run(baseline, apps, warmup_s=warmup_s, mix_id=mix_id)
 
-    kills = set(kill_ticks)
-    fired: set[int] = set()  # ticks replay after recovery; kill each once
-
-    def _kill_hook(mediator: PowerMediator, tick: int) -> None:
-        if tick in kills and tick not in fired:
-            fired.add(tick)
-            raise MediatorKilled(f"chaos kill at tick {tick}")
-
+    kills = sorted(set(kill_ticks))
     supervisor = Supervisor(
         recipe,
         script,
         workdir,
         checkpoint_every_ticks=checkpoint_every_ticks,
         fsync_every_ticks=fsync_every_ticks,
-        tick_hook=_kill_hook,
+        tick_hook=kill_at(kills),
         safe_hold_ticks=safe_hold_ticks,
         tear_journal_bytes_on_crash=tear_journal_bytes_on_crash,
         trace_bus=trace_bus,
@@ -292,9 +279,9 @@ def run_chaos_mix(
         summary = summarize_mix_run(mediator, apps, warmup_s=warmup_s, mix_id=mix_id)
     except SimulationError as exc:
         raise ChaosError(
-            f"sustained cap breach after kills at {sorted(kills)}: {exc}"
+            f"sustained cap breach after kills at {kills}: {exc}"
         ) from None
-    _check_battery_ledger(mediator, sorted(kills))
+    _check_battery_ledger(mediator, kills)
 
     base_util = base_summary.server_throughput
     gap = abs(summary.server_throughput - base_util) / max(base_util, 1e-12)
@@ -302,7 +289,7 @@ def run_chaos_mix(
         raise ChaosError(
             f"utility {summary.server_throughput:.6f} deviates "
             f"{gap:.2%} from baseline {base_util:.6f} "
-            f"(tolerance {utility_tolerance:.2%}) after kills at {sorted(kills)}"
+            f"(tolerance {utility_tolerance:.2%}) after kills at {kills}"
         )
 
     timeline_identical: bool | None = None
@@ -311,7 +298,7 @@ def run_chaos_mix(
         if not timeline_identical:
             raise ChaosError(
                 f"recovered timeline diverged from the uninterrupted run "
-                f"after kills at {sorted(kills)} "
+                f"after kills at {kills} "
                 f"({len(mediator.timeline)} vs {len(baseline.timeline)} ticks)"
             )
 
@@ -323,7 +310,7 @@ def run_chaos_mix(
         except TraceError as exc:
             raise ChaosError(
                 f"stitched trace failed verification after kills at "
-                f"{sorted(kills)}: {exc}"
+                f"{kills}: {exc}"
             ) from None
         stitched_hash = trace_bus.content_hash()
         if baseline.trace_bus.active:
@@ -331,11 +318,11 @@ def run_chaos_mix(
             if safe_hold_ticks == 0 and stitched_hash != baseline_hash:
                 raise ChaosError(
                     f"stitched trace hash {stitched_hash[:16]}... diverged from "
-                    f"baseline {baseline_hash[:16]}... after kills at {sorted(kills)}"
+                    f"baseline {baseline_hash[:16]}... after kills at {kills}"
                 )
 
     return ChaosRunResult(
-        kill_ticks=tuple(sorted(kills)),
+        kill_ticks=tuple(kills),
         result=summary,
         baseline=base_summary,
         recovery=supervisor.stats,
@@ -395,34 +382,22 @@ def run_chaos_soak(
         resilience=resilience,
     )
     baseline = run_script(recipe, script, trace_bus=TraceBus() if trace else None)
-    total_ticks = baseline.tick_count
-    workdir = Path(workdir)
-    runs: list[ChaosRunResult] = []
-    for chaos_seed in seeds:
-        ticks = kill_schedule(total_ticks, kills_per_run, chaos_seed)
-        runs.append(
-            run_chaos_mix(
-                apps,
-                policy,
-                p_cap_w,
-                workdir=workdir / f"soak-{chaos_seed:04d}",
-                kill_ticks=ticks,
-                mix_id=mix_id,
-                config=config,
-                duration_s=duration_s,
-                warmup_s=warmup_s,
-                use_oracle_estimates=use_oracle_estimates,
-                dt_s=dt_s,
-                seed=seed,
-                faults=faults,
-                resilience=resilience,
-                checkpoint_every_ticks=checkpoint_every_ticks,
-                fsync_every_ticks=fsync_every_ticks,
-                safe_hold_ticks=safe_hold_ticks,
-                tear_journal_bytes_on_crash=tear_journal_bytes_on_crash,
-                utility_tolerance=utility_tolerance,
-                baseline=baseline,
-                trace_bus=TraceBus() if trace else None,
-            )
+    runs = [
+        run_chaos_mix(
+            recipe,
+            script,
+            workdir=Path(workdir) / f"soak-{chaos_seed:04d}",
+            kill_ticks=kill_schedule(baseline.tick_count, kills_per_run, chaos_seed),
+            warmup_s=warmup_s,
+            mix_id=mix_id,
+            checkpoint_every_ticks=checkpoint_every_ticks,
+            fsync_every_ticks=fsync_every_ticks,
+            safe_hold_ticks=safe_hold_ticks,
+            tear_journal_bytes_on_crash=tear_journal_bytes_on_crash,
+            utility_tolerance=utility_tolerance,
+            baseline=baseline,
+            trace_bus=TraceBus() if trace else None,
         )
+        for chaos_seed in seeds
+    ]
     return ChaosSoakResult(runs=tuple(runs))

@@ -30,11 +30,10 @@ the service invariants (each failure raises
    of history: no more timeline records than the checkpoint cadence, and
    no event older than the last seal. Every checkpoint written holds the
    mediator's past only as the fixed-size sealed summary (no timeline
-   record, logged event or departed app), so its history bytes stay flat.
-   The report carries the largest checkpoint written and how much the
-   late checkpoints outgrew the early ones outside the client session
-   windows (which are bounded by ``retention.session_window`` and fill
-   over the first tens of thousands of ticks at the default).
+   record, logged event or departed app), and the client session windows
+   only the deliveries a reconnect will replay, so whole checkpoints stay
+   flat: the largest checkpoint of a run's second half is at most
+   :data:`CHECKPOINT_GROWTH_BOUND` times the largest of its first half.
 """
 
 from __future__ import annotations
@@ -46,18 +45,13 @@ from typing import Callable
 
 import numpy as np
 
+from repro.chaos.harness import kill_at, kill_schedule
 from repro.core.simulation import verify_cap_invariant
 from repro.errors import ChaosError, ConfigurationError, SimulationError
 from repro.persistence.segments import list_segments
-from repro.service.loop import MediatorService, ServiceConfig, ServiceKilled
+from repro.service.loop import MediatorService, ServiceConfig
 
-__all__ = [
-    "ChurnSchedule",
-    "ServiceSoakReport",
-    "run_service_soak",
-    "service_kill_hook",
-    "service_kill_ticks",
-]
+__all__ = ["ChurnSchedule", "ServiceSoakReport", "run_service_soak"]
 
 #: Sim-side counters that must be identical between a crash-recovered run
 #: and its uninterrupted baseline (execution-side counters - restarts,
@@ -81,6 +75,10 @@ DETERMINISTIC_COUNTERS = (
     "service.sessions.reconnects",
     "service.sessions.replayed",
 )
+
+#: Invariant 5: the largest checkpoint of a run's second half over the
+#: largest of its first half, in whole-file bytes.
+CHECKPOINT_GROWTH_BOUND = 1.1
 
 
 class ChurnSchedule:
@@ -136,36 +134,6 @@ class ChurnSchedule:
         return sum(len(v) for v in self._by_tick.values())
 
 
-def service_kill_ticks(total_ticks: int, kills: int, seed: int) -> list[int]:
-    """Pick ``kills`` distinct kill ticks in ``[1, total_ticks)``, sorted.
-
-    Tick 0 is excluded: the service writes its tick-0 checkpoint at
-    construction, so a kill before tick 1 would test nothing.
-    """
-    if total_ticks < 2 or kills <= 0:
-        return []
-    rng = np.random.default_rng(seed)
-    count = min(kills, total_ticks - 1)
-    picks = rng.choice(np.arange(1, total_ticks), size=count, replace=False)
-    return sorted(int(t) for t in picks)
-
-
-def service_kill_hook(kill_ticks: list[int]) -> Callable[[int], None]:
-    """A tick hook raising :class:`ServiceKilled` once per scheduled tick.
-
-    Fired kills are consumed, so crash re-execution sailing back past a
-    kill tick does not die again (mirroring the supervisor's hooks).
-    """
-    remaining = sorted(kill_ticks)
-
-    def hook(tick: int) -> None:
-        if remaining and tick == remaining[0]:
-            fired = remaining.pop(0)
-            raise ServiceKilled(f"chaos kill at tick {fired}")
-
-    return hook
-
-
 @dataclass(frozen=True)
 class ServiceSoakReport:
     """Outcome of one service soak (invariants already enforced).
@@ -184,11 +152,8 @@ class ServiceSoakReport:
         checkpoint_bytes_max: The largest checkpoint either run wrote, in
             bytes (sampled at every checkpoint-cadence tick).
         checkpoint_growth: Largest checkpoint in the second half of a run
-            over the largest in its first half, counting the bytes outside
-            the session windows (the larger of the two runs). Not gated:
-            live state - the managed apps' candidate sets, windowed
-            histograms - legitimately fills during a short run's first
-            half; over a long run it reads ~1.0.
+            over the largest in its first half (the larger of the two
+            runs); at most :data:`CHECKPOINT_GROWTH_BOUND` by invariant 5.
     """
 
     ticks: int
@@ -233,38 +198,35 @@ class _HistoryProbe:
 
 def _run_sampling_checkpoints(
     service: MediatorService, total_ticks: int
-) -> list[tuple[int, int, int]]:
+) -> list[tuple[int, int]]:
     """Run ``service`` to ``total_ticks`` one checkpoint interval at a time.
 
     Equivalent to one ``run_for_ticks(total_ticks)`` call; after each
-    interval the newest checkpoint is read back. Returns one triple per
-    checkpoint: its bytes, its bytes outside the session windows, and the
-    unsealed history it holds (timeline records + logged events +
-    departed apps).
+    interval the newest checkpoint is read back. Returns one pair per
+    checkpoint: its bytes, and the unsealed history it holds (timeline
+    records + logged events + departed apps).
     """
-    samples: list[tuple[int, int, int]] = []
+    samples: list[tuple[int, int]] = []
     every = service.config.checkpoint_every_ticks
     while service.tick < total_ticks:
         service.run_for_ticks(min(every, total_ticks - service.tick))
         newest = max(service.checkpoint_dir.glob("svc-*.json"))
         text = newest.read_text(encoding="utf-8")
-        doc = json.loads(text)
-        state = doc["mediator_state"]
+        state = json.loads(text)["mediator_state"]
         unsealed = (
             len(state["timeline"]) + len(state["accountant"]["log"]) + len(state["finished"])
         )
-        outside = len(text) - len(json.dumps(doc["sessions"]))
-        samples.append((len(text), outside, unsealed))
+        samples.append((len(text), unsealed))
     return samples
 
 
-def _growth(samples: list[tuple[int, int, int]]) -> float:
-    """Largest late-half over largest early-half non-session checkpoint."""
+def _growth(samples: list[tuple[int, int]]) -> float:
+    """Largest late-half over largest early-half checkpoint bytes."""
     if len(samples) < 2:
         return 1.0
     half = len(samples) // 2
-    early = max(outside for _, outside, _ in samples[:half])
-    late = max(outside for _, outside, _ in samples[half:])
+    early = max(size for size, _ in samples[:half])
+    late = max(size for size, _ in samples[half:])
     return late / early
 
 
@@ -309,7 +271,7 @@ def run_service_soak(
         events=churn_events,
         seed=chaos_seed,
     )
-    kill_ticks = service_kill_ticks(total_ticks, kills, chaos_seed)
+    kill_ticks = kill_schedule(total_ticks, kills, chaos_seed)
 
     base_probe = _HistoryProbe()
     baseline = MediatorService(
@@ -321,7 +283,7 @@ def run_service_soak(
     base_hash = baseline.content_hash()
     base_counters = dict(baseline.metrics.counters())
 
-    chaos_probe = _HistoryProbe(service_kill_hook(kill_ticks))
+    chaos_probe = _HistoryProbe(kill_at(kill_ticks))
     chaos = MediatorService(
         config,
         workdir / "chaos",
@@ -409,13 +371,20 @@ def run_service_soak(
                 f"{label}: on {probe.stale_events} ticks the event log held "
                 f"events from before the last seal (up to {probe.max_events})"
             )
-        unsealed = max(held for _, _, held in samples)
+        unsealed = max(held for _, held in samples)
         if unsealed:
             raise ChaosError(
                 f"{label}: a checkpoint held {unsealed} unsealed history "
                 "entries (timeline records, events, departed apps); bound 0"
             )
-        growth = max(growth, _growth(samples))
+        run_growth = _growth(samples)
+        if run_growth > CHECKPOINT_GROWTH_BOUND:
+            raise ChaosError(
+                f"{label}: late checkpoints grew to {run_growth:.3f}x the early "
+                f"ones ({max(size for size, _ in samples)} bytes), bound "
+                f"{CHECKPOINT_GROWTH_BOUND}x"
+            )
+        growth = max(growth, run_growth)
     for svc, label in ((baseline, "baseline"), (chaos, "chaos")):
         bus = svc.trace_bus
         retained = getattr(bus, "retained_events", 0)
@@ -454,6 +423,6 @@ def run_service_soak(
         replayed_deliveries=int(replayed),
         trace_hash=chaos_hash,
         counters=counters,
-        checkpoint_bytes_max=max(total for total, _, _ in base_samples + chaos_samples),
+        checkpoint_bytes_max=max(size for size, _ in base_samples + chaos_samples),
         checkpoint_growth=growth,
     )

@@ -218,14 +218,11 @@ def cmd_mix(args: argparse.Namespace) -> int:
             list(mix.profiles()),
             args.policy,
             args.cap,
-            config=ServerConfig(),
             duration_s=args.duration,
             warmup_s=args.warmup,
             use_oracle_estimates=args.oracle,
-            dt_s=0.1,
             seed=args.seed,
             faults=faults,
-            resilience=None,
         )
         supervisor = Supervisor(
             recipe,
@@ -336,11 +333,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"max utility gap {soak.max_utility_gap:.2%} "
         f"(tolerance {args.tolerance:.0%})"
     )
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(soak.metrics(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"metrics -> {args.metrics_out}")
+    _write_observability(args, None, soak.metrics())
     return 0
 
 
@@ -398,11 +391,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         f"within bound, false-positive rate {soak.false_positive_rate:.0%}, "
         f"worst honest retention {soak.min_honest_retention:.3f}"
     )
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(soak.metrics(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"metrics -> {args.metrics_out}")
+    _write_observability(args, None, soak.metrics())
     return 0
 
 
@@ -506,11 +495,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"caps applied {counters.get('service.commands.cap_applied', 0):.0f}; "
             f"deliveries {counters.get('service.sessions.deliveries', 0):.0f}"
         )
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(counters, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"metrics -> {args.metrics_out}")
+        _write_observability(args, None, counters)
     return 0
 
 

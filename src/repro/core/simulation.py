@@ -133,12 +133,11 @@ def default_battery() -> LeadAcidBattery:
     )
 
 
-def run_mix_experiment(
+def run_mix_mediator(
     apps: list[WorkloadProfile],
     policy: Policy | str,
     p_cap_w: float,
     *,
-    mix_id: int = 0,
     config: ServerConfig = DEFAULT_SERVER_CONFIG,
     duration_s: float = 60.0,
     warmup_s: float = 10.0,
@@ -151,14 +150,17 @@ def run_mix_experiment(
     trace_bus: TraceBus | None = None,
     adversaries: AdversarySchedule | None = None,
     defense: DefenseConfig | None = None,
-) -> MixExperimentResult:
-    """Run one co-location under one policy and cap.
+) -> PowerMediator:
+    """Build one co-location under one policy and cap and run it.
+
+    The build-and-run half of :func:`run_mix_experiment`, for callers that
+    read the finished mediator itself (the adversary arms read its trust
+    log); :func:`summarize_mix_run` scores it.
 
     Args:
         apps: The applications to co-locate (admitted at t=0, back to back).
         policy: A policy instance or its paper name.
         p_cap_w: The server power cap.
-        mix_id: Table II number for reporting.
         config: Server parameters (Table I defaults).
         duration_s: Measurement window after warm-up.
         warmup_s: Settling time excluded from the metrics (covers
@@ -210,6 +212,24 @@ def run_mix_experiment(
     # back to scalar ticks for everything else (faults, adversaries, an
     # attached trace), so the run is bit-identical to mediator.run_for.
     MediatedFleet([mediator]).run_for(warmup_s + duration_s)
+    return mediator
+
+
+def run_mix_experiment(
+    apps: list[WorkloadProfile],
+    policy: Policy | str,
+    p_cap_w: float,
+    *,
+    mix_id: int = 0,
+    warmup_s: float = 10.0,
+    **run_kwargs,
+) -> MixExperimentResult:
+    """Run one co-location under one policy and cap and summarize it.
+
+    ``mix_id`` is the Table II number for reporting; every other argument
+    is :func:`run_mix_mediator`'s.
+    """
+    mediator = run_mix_mediator(apps, policy, p_cap_w, warmup_s=warmup_s, **run_kwargs)
     return summarize_mix_run(mediator, apps, warmup_s=warmup_s, mix_id=mix_id)
 
 
@@ -222,8 +242,8 @@ def summarize_mix_run(
 ) -> MixExperimentResult:
     """Summarize a finished mix run into a :class:`MixExperimentResult`.
 
-    Shared by :func:`run_mix_experiment` and the crash-recovery paths
-    (supervised and chaos-soak runs), so an interrupted-and-recovered run is
+    Shared by :func:`run_mix_experiment`, the adversary arms, and the
+    crash-recovery paths (supervised and chaos-soak runs), so an interrupted-and-recovered run is
     scored by exactly the same arithmetic as an uninterrupted one. Also
     enforces :func:`verify_cap_invariant`.
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.mediator import PowerMediator
-from repro.errors import CheckpointError, ReproError
+from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.learning.sampling import Sampler
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.persistence.checkpoint import (
@@ -49,7 +49,11 @@ from repro.workloads.profiles import WorkloadProfile
 
 
 class MediatorKilled(ReproError):
-    """The mediator process died mid-tick (raised by crash injection)."""
+    """The mediator process died mid-tick (raised by crash injection).
+
+    The one kill signal: the :class:`Supervisor` and the streaming
+    :class:`~repro.service.loop.MediatorService` both recover from it.
+    """
 
 
 class MediatorHung(ReproError):
@@ -128,6 +132,28 @@ def command_from_dict(data: dict) -> Command:
     raise ValueError(f"unknown command kind {kind!r}")
 
 
+def apply_command(mediator: PowerMediator, command: Command) -> None:
+    """Execute one script command on ``mediator``, unsupervised.
+
+    The one dispatch shared by :func:`~repro.chaos.harness.run_script` and
+    the :class:`Supervisor` (which handles ``Advance`` itself, to journal
+    its deadline and tick by tick, so it only passes admits and caps here).
+    """
+    if isinstance(command, AdmitApp):
+        mediator.add_application(
+            command.profile,
+            phased=command.phased,
+            group_width=command.group_width,
+            skip_overhead=command.skip_overhead,
+        )
+    elif isinstance(command, SetCap):
+        mediator.set_power_cap(command.p_cap_w)
+    elif isinstance(command, Advance):
+        mediator.run_for(command.duration_s)
+    else:
+        raise ConfigurationError(f"not a script command: {command!r}")
+
+
 # ---------------------------------------------------------------- accounting
 
 
@@ -186,9 +212,9 @@ class Supervisor:
         fsync_every_ticks: Journal tick-record durability cadence.
         tick_deadline_s: Wall-clock budget for one mediator tick; ``None``
             disables hang detection.
-        tick_hook: Called as ``tick_hook(mediator, tick_count)`` before
-            every tick - the chaos harness raises :class:`MediatorKilled`
-            from here.
+        tick_hook: Called as ``tick_hook(tick_count)`` before every tick -
+            the chaos harness's :func:`~repro.chaos.harness.kill_at` hook
+            raises :class:`MediatorKilled` from here.
         safe_hold_ticks: Guard-banded safe-posture length applied after
             each warm restart (0 keeps restarts bit-identical).
         tear_journal_bytes_on_crash: On each crash, drop up to this many
@@ -215,7 +241,7 @@ class Supervisor:
         checkpoint_every_ticks: int = 50,
         fsync_every_ticks: int = 25,
         tick_deadline_s: float | None = None,
-        tick_hook: Callable[[PowerMediator, int], None] | None = None,
+        tick_hook: Callable[[int], None] | None = None,
         safe_hold_ticks: int = 0,
         tear_journal_bytes_on_crash: int = 0,
         max_restarts: int = 50,
@@ -316,7 +342,7 @@ class Supervisor:
                 self._advance(self._pos.end_s)
             else:
                 self._journal.append_command(index, command_to_dict(command))
-                self._apply(command)
+                apply_command(self._mediator, command)
             self._pos = _Position(command=index + 1, end_s=None)
         self._checkpoint()
 
@@ -326,7 +352,7 @@ class Supervisor:
         assert mediator is not None and journal is not None
         while mediator.server.now_s < end_s - 1e-9:
             if self._tick_hook is not None:
-                self._tick_hook(mediator, mediator.tick_count)
+                self._tick_hook(mediator.tick_count)
             started = time.monotonic()
             mediator.step()
             if (
@@ -343,20 +369,6 @@ class Supervisor:
             self._ticks_since_checkpoint += 1
             if self._ticks_since_checkpoint >= self._checkpoint_every_ticks:
                 self._checkpoint()
-
-    def _apply(self, command: Command) -> None:
-        assert self._mediator is not None
-        if isinstance(command, AdmitApp):
-            self._mediator.add_application(
-                command.profile,
-                phased=command.phased,
-                group_width=command.group_width,
-                skip_overhead=command.skip_overhead,
-            )
-        elif isinstance(command, SetCap):
-            self._mediator.set_power_cap(command.p_cap_w)
-        else:  # pragma: no cover - Advance is handled by _execute
-            raise TypeError(f"cannot apply {command!r}")
 
     def _checkpoint(self) -> None:
         assert self._mediator is not None and self._journal is not None
@@ -440,7 +452,7 @@ class Supervisor:
                         end_s=float(rec["command"]["end_s"]),
                     )
                 else:
-                    self._apply(command)
+                    apply_command(self._mediator, command)
                     self._pos = _Position(command=int(rec["index"]) + 1)
             elif rec["op"] == "tick":
                 self._mediator.step()

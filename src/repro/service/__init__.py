@@ -35,7 +35,7 @@ from repro.service.commands import (
     is_cap_safety,
 )
 from repro.service.ingest import BACKPRESSURE_POLICIES, IngestBuffer
-from repro.service.loop import MediatorService, ServiceConfig, ServiceKilled
+from repro.service.loop import MediatorService, ServiceConfig
 from repro.service.retention import RetentionConfig, RetentionManager
 from repro.service.sessions import ClientSession, Delivery, SessionRegistry
 
@@ -49,7 +49,6 @@ __all__ = [
     "RetentionConfig",
     "RetentionManager",
     "ServiceConfig",
-    "ServiceKilled",
     "SessionRegistry",
     "SetCapCommand",
     "SubmitJob",

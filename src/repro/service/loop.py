@@ -25,7 +25,8 @@ traffic. Each sim-time tick executes a fixed pipeline:
    metrics) lands atomically, its journal marker is fsynced, and retention
    compacts everything behind it.
 
-**Crash model.** A :class:`ServiceKilled` raised by the kill hook destroys
+**Crash model.** A :class:`~repro.persistence.supervisor.MediatorKilled`
+raised by the kill hook destroys
 the in-flight process state; the journal keeps only what was fsynced (a
 configurable tail tear simulates lost buffered writes). Recovery restores
 the latest durable checkpoint and then **re-executes full ticks** - not
@@ -52,7 +53,6 @@ from repro.core.policies import POLICY_NAMES
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
-    ReproError,
     SchedulingError,
     ServiceError,
 )
@@ -65,6 +65,7 @@ from repro.persistence.segments import (
     read_segmented,
     repair_segmented_tail,
 )
+from repro.persistence.supervisor import MediatorKilled
 from repro.service.commands import (
     CancelJob,
     Command,
@@ -79,17 +80,13 @@ from repro.service.retention import RetentionConfig, RetentionManager
 from repro.service.sessions import SessionRegistry
 from repro.workloads.population import BurstWindow, OpenLoopPopulation
 
-__all__ = ["MediatorService", "ServiceConfig", "ServiceKilled"]
+__all__ = ["MediatorService", "ServiceConfig"]
 
 #: Schema stamp of service checkpoint documents.
 SERVICE_CHECKPOINT_SCHEMA = "repro-service-checkpoint"
 
 #: Service checkpoint format version; bump on incompatible layout changes.
 SERVICE_CHECKPOINT_VERSION = 1
-
-
-class ServiceKilled(ReproError):
-    """The service process died mid-stream (raised by chaos injection)."""
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,8 @@ class MediatorService:
             be a pure function of the tick so crash re-execution
             regenerates identical churn.
         tick_hook: Optional callable invoked with the tick number before
-            any tick work; raising :class:`ServiceKilled` simulates a
+            any tick work; raising
+            :class:`~repro.persistence.supervisor.MediatorKilled` simulates a
             crash at that boundary (the chaos harness's kill schedules).
         tear_journal_bytes_on_crash: On each crash, destroy up to this many
             bytes of the journal's un-fsynced tail.
@@ -348,14 +346,14 @@ class MediatorService:
 
     def run_for_ticks(self, ticks: int) -> None:
         """Advance the service ``ticks`` sim-time ticks, recovering from any
-        :class:`ServiceKilled` the kill hook raises along the way."""
+        :class:`MediatorKilled` the kill hook raises along the way."""
         if ticks < 1:
             raise ConfigurationError(f"ticks must be >= 1, got {ticks}")
         target = self._tick + ticks
         while self._tick < target:
             try:
                 self._one_tick()
-            except ServiceKilled:
+            except MediatorKilled:
                 self._handle_crash()
 
     def close(self) -> None:
@@ -370,7 +368,7 @@ class MediatorService:
     def _one_tick(self) -> None:
         tick = self._tick
         if self._tick_hook is not None:
-            self._tick_hook(tick)  # chaos: may raise ServiceKilled
+            self._tick_hook(tick)  # chaos: may raise MediatorKilled
         now = self._mediator.server.now_s
         self._bus.begin_tick(tick, now)
 
@@ -661,7 +659,7 @@ class MediatorService:
             try:
                 self._recover()
                 return
-            except ServiceKilled:
+            except MediatorKilled:
                 continue  # killed again mid-replay; recover from scratch
 
     def _crash_journal(self) -> None:

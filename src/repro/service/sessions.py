@@ -3,10 +3,11 @@
 Each simulated client holds one :class:`ClientSession`. The service pushes
 **deliveries** - acknowledgements, NACKs, job completions, periodic
 telemetry - into the session, each stamped with a per-client monotone
-sequence number. A connected client consumes deliveries as they are made;
-a disconnected client's deliveries keep accruing sequence numbers in a
-bounded retained window, and on reconnect the session **replays** exactly
-the missed suffix, verifying it is gap-free (first replayed seq is the
+sequence number. A connected client consumes deliveries as they are made,
+so none is retained; a disconnected client's deliveries keep accruing
+sequence numbers in a bounded retained window, and on reconnect the session
+**replays** exactly that missed suffix, then empties the window. Replay is
+verified gap-free (first replayed seq is the
 cursor + 1 and the seqs are contiguous). A gap means the retained window
 was outlived - the session raises :class:`~repro.errors.ServiceError`
 rather than silently skipping data.
@@ -56,7 +57,8 @@ class ClientSession:
 
     Args:
         client: Client id.
-        window: Retained deliveries (bounds replay depth and memory).
+        window: Most unconsumed deliveries retained while disconnected
+            (bounds replay depth and memory).
         connected: Whether the client starts attached.
     """
 
@@ -85,12 +87,14 @@ class ClientSession:
         return (self._next_seq - 1) - self._delivered_through
 
     def deliver(self, tick: int, kind: str, payload: dict[str, Any]) -> Delivery:
-        """Stamp and retain one delivery; a connected client consumes it now."""
+        """Stamp one delivery: a connected client consumes it now, an absent
+        one finds it retained for replay."""
         delivery = Delivery(seq=self._next_seq, tick=tick, kind=kind, payload=payload)
         self._next_seq += 1
-        self._window.append(delivery)
         if self.connected:
             self._delivered_through = delivery.seq
+        else:
+            self._window.append(delivery)
         return delivery
 
     def disconnect(self) -> None:
@@ -104,7 +108,7 @@ class ClientSession:
         client's cursor - the stream has a hole that replay cannot fill.
         """
         self.connected = True
-        missed = [d for d in self._window if d.seq > self._delivered_through]
+        missed = list(self._window)
         expected = self._delivered_through + 1
         if missed and missed[0].seq != expected:
             raise ServiceError(
@@ -126,6 +130,7 @@ class ClientSession:
                 )
         if missed:
             self._delivered_through = missed[-1].seq
+        self._window.clear()
         return missed
 
     def state_dict(self) -> dict:
@@ -147,8 +152,11 @@ class ClientSession:
         )
         session._next_seq = int(state["next_seq"])
         session._delivered_through = int(state["delivered_through"])
+        # Checkpoints written before windows dropped consumed deliveries
+        # still hold them; only the unconsumed suffix is ever replayed.
         for doc in state["window"]:
-            session._window.append(Delivery.from_dict(doc))
+            if int(doc["seq"]) > session._delivered_through:
+                session._window.append(Delivery.from_dict(doc))
         return session
 
 

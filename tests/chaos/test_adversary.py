@@ -8,7 +8,6 @@ report); the tier-1 subset runs every attack kind once at seed 0.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -20,8 +19,6 @@ from repro.chaos import (
 )
 from repro.chaos.adversary import AttackScenario
 from repro.errors import ChaosError, ConfigurationError
-
-SOAK = os.environ.get("REPRO_SOAK") == "1"
 
 
 def scenario_with(kind: str, **overrides) -> AttackScenario:
@@ -120,8 +117,7 @@ def test_mini_soak_shares_baselines_and_aggregates():
 
 @pytest.mark.soak
 @pytest.mark.timeout(900)
-@pytest.mark.skipif(not SOAK, reason="set REPRO_SOAK=1 to run the full soak")
-def test_acceptance_byzantine_soak():
+def test_acceptance_byzantine_soak(soak_report):
     """ISSUE 7 acceptance: every strategic-workload kind across the seed
     matrix, three arms each - every attacker quarantined within its per-kind
     tick bound, honest tenants hold their throughput floor vs the all-honest
@@ -135,8 +131,4 @@ def test_acceptance_byzantine_soak():
     assert metrics["counters"].get("defense.transitions.quarantined", 0) >= len(
         soak.runs
     )
-    out = os.environ.get("REPRO_SOAK_REPORT")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(soak.report(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    soak_report(soak.report())

@@ -6,17 +6,19 @@ dedicated job); the tier-1 subset keeps a 2-seed version in every run.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.chaos import kill_schedule, run_chaos_mix, run_chaos_soak
+from repro.chaos import kill_at, kill_schedule, mix_recipe, run_chaos_mix, run_chaos_soak
 from repro.errors import ChaosError
 from repro.faults import default_fault_plan
-from repro.workloads.catalog import get_application
+from repro.persistence import MediatorKilled
 
-SOAK = os.environ.get("REPRO_SOAK") == "1"
 
+def _chaos_mix(apps, policy, cap, *, faults=None, **run_kwargs):
+    recipe, script = mix_recipe(
+        apps, policy, cap, duration_s=4.0, warmup_s=2.0, faults=faults
+    )
+    return run_chaos_mix(recipe, script, warmup_s=2.0, **run_kwargs)
 
 
 def test_kill_schedule_is_seeded_and_sorted():
@@ -34,15 +36,25 @@ def test_kill_schedule_edge_cases():
     assert len(kill_schedule(5, 100, seed=0)) == 4  # clamped to the run length
 
 
+def test_kill_at_fires_once_per_scheduled_tick():
+    hook = kill_at([3, 5])
+    hook(2)
+    with pytest.raises(MediatorKilled, match="tick 3"):
+        hook(3)
+    hook(3)  # recovery re-executes tick 3; it must not die again
+    hook(4)
+    with pytest.raises(MediatorKilled, match="tick 5"):
+        hook(5)
+    hook(5)
+
+
 def test_chaos_mix_survives_kills(tmp_path, apps):
-    result = run_chaos_mix(
+    result = _chaos_mix(
         apps,
         "app+res-aware",
         100.0,
         workdir=tmp_path,
         kill_ticks=[7, 23, 41],
-        duration_s=4.0,
-        warmup_s=2.0,
     )
     assert result.recovery.restarts == 3
     assert result.timeline_identical is True
@@ -50,14 +62,12 @@ def test_chaos_mix_survives_kills(tmp_path, apps):
 
 
 def test_chaos_mix_with_torn_journal_and_faults(tmp_path, apps):
-    result = run_chaos_mix(
+    result = _chaos_mix(
         apps,
         "app+res-aware",
         100.0,
         workdir=tmp_path,
         kill_ticks=[13, 37],
-        duration_s=4.0,
-        warmup_s=2.0,
         faults=default_fault_plan(seed=3),
         tear_journal_bytes_on_crash=250,
     )
@@ -67,14 +77,12 @@ def test_chaos_mix_with_torn_journal_and_faults(tmp_path, apps):
 
 
 def test_chaos_mix_esd_ledger_conserved(tmp_path, apps):
-    result = run_chaos_mix(
+    result = _chaos_mix(
         apps,
         "app+res+esd-aware",
         80.0,
         workdir=tmp_path,
         kill_ticks=[11, 29],
-        duration_s=4.0,
-        warmup_s=2.0,
     )
     # run_chaos_mix raises ChaosError if the battery ledger drifted; reaching
     # here with restarts recorded is the assertion.
@@ -83,14 +91,12 @@ def test_chaos_mix_esd_ledger_conserved(tmp_path, apps):
 
 
 def test_safe_hold_disables_identity_check(tmp_path, apps):
-    result = run_chaos_mix(
+    result = _chaos_mix(
         apps,
         "app+res-aware",
         100.0,
         workdir=tmp_path,
         kill_ticks=[17],
-        duration_s=4.0,
-        warmup_s=2.0,
         safe_hold_ticks=5,
         utility_tolerance=0.10,
     )
@@ -101,14 +107,12 @@ def test_utility_violation_raises(tmp_path, apps):
     # An absurd safe hold guard-bands most of the run; with a zero tolerance
     # the utility invariant must trip (and name the kills).
     with pytest.raises(ChaosError, match="deviates"):
-        run_chaos_mix(
+        _chaos_mix(
             apps,
             "app+res-aware",
             100.0,
             workdir=tmp_path,
             kill_ticks=[5],
-            duration_s=4.0,
-            warmup_s=2.0,
             safe_hold_ticks=55,
             utility_tolerance=0.0,
         )
@@ -131,7 +135,6 @@ def test_small_soak(tmp_path, apps):
 
 
 @pytest.mark.soak
-@pytest.mark.skipif(not SOAK, reason="set REPRO_SOAK=1 to run the full soak")
 def test_full_soak_twenty_seeds(tmp_path, apps):
     """The acceptance soak: 20 seeded kill/restart runs, zero sustained cap
     breaches, conserved ledgers, utility within 1% of baseline."""

@@ -9,9 +9,6 @@ seeds (domain outages composed with root partitions, leaf kills, and
 stale-checkpoint controller restarts).
 """
 
-import json
-import os
-
 import pytest
 
 from repro.chaos import (
@@ -21,8 +18,6 @@ from repro.chaos import (
 )
 from repro.errors import ChaosError, ConfigurationError
 from repro.hierarchy import validate_subtree_outages
-
-SOAK = os.environ.get("REPRO_SOAK") == "1"
 
 
 class TestOutageSchedule:
@@ -127,7 +122,7 @@ class TestFlatCluster:
             run_hierarchy_chaos(seed=0, **self.FLAT)
 
 
-@pytest.mark.skipif(not SOAK, reason="set REPRO_SOAK=1 to run the full soak")
+@pytest.mark.soak
 class TestAcceptanceSoak:
     # The flat soak keeps the 600 s budget it had in its own CI step.
     @pytest.mark.timeout(600)
@@ -147,7 +142,7 @@ class TestAcceptanceSoak:
         assert soak.total_partition_steps > 0
         assert soak.total_killed_node_steps > 0
 
-    def test_twelve_seeds_full_severity(self):
+    def test_twelve_seeds_full_severity(self, soak_report):
         # The acceptance matrix: 12 seeded schedules against a 3-level,
         # 24-server tree, loss up to 30%, domain outages at PDU and rack
         # levels composed with root partitions, leaf kills, and
@@ -166,8 +161,4 @@ class TestAcceptanceSoak:
         assert soak.min_sibling_ratio >= 0.75
         assert soak.total_domain_outages > 0
         assert soak.total_restarts > 0
-        out = os.environ.get("REPRO_SOAK_REPORT")
-        if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                json.dump(soak.report(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+        soak_report(soak.report())

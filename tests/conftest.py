@@ -2,12 +2,17 @@
 
 Also provides a SIGALRM-based per-test timeout fallback for environments
 without ``pytest-timeout`` (CI installs the real plugin and passes
-``--timeout``; the fallback keeps a hung mediator from wedging a local run).
+``--timeout``; the fallback keeps a hung mediator from wedging a local run),
+and the one opt-in gate for the long soaks: tests marked ``soak`` run only
+under ``REPRO_SOAK=1``, and write their JSON report through the
+``soak_report`` fixture.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
 import signal
 
 import pytest
@@ -33,6 +38,33 @@ if not _HAS_PYTEST_TIMEOUT and hasattr(signal, "SIGALRM"):
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+SOAK = os.environ.get("REPRO_SOAK") == "1"
+
+
+def pytest_collection_modifyitems(config, items):
+    if SOAK:
+        return
+    skip = pytest.mark.skip(reason="set REPRO_SOAK=1 to run the full soak")
+    for item in items:
+        if item.get_closest_marker("soak") is not None:
+            item.add_marker(skip)
+
+
+@pytest.fixture()
+def soak_report():
+    """Write a soak's JSON report to ``$REPRO_SOAK_REPORT``, when it is set."""
+
+    def write(report: dict) -> None:
+        out = os.environ.get("REPRO_SOAK_REPORT")
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+
+    return write
+
 
 from repro.server.config import ServerConfig
 from repro.server.perf_model import PerformanceModel

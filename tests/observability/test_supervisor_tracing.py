@@ -7,7 +7,6 @@ from repro.chaos.harness import mix_recipe, run_chaos_mix, run_script
 from repro.errors import ChaosError
 from repro.observability.trace import TraceBus, summarize_trace, verify_trace
 from repro.persistence.supervisor import Supervisor
-from repro.server.config import ServerConfig
 from repro.workloads.mixes import get_mix
 
 
@@ -17,15 +16,20 @@ def _apps():
 
 def _run_chaos(tmp_path, *, kill_ticks, safe_hold_ticks=0, **overrides):
     bus = TraceBus()
-    result = run_chaos_mix(
+    recipe, script = mix_recipe(
         _apps(),
         "app+res-aware",
         80.0,
-        workdir=tmp_path,
-        kill_ticks=kill_ticks,
         duration_s=8.0,
         warmup_s=2.0,
         use_oracle_estimates=True,
+    )
+    result = run_chaos_mix(
+        recipe,
+        script,
+        workdir=tmp_path,
+        kill_ticks=kill_ticks,
+        warmup_s=2.0,
         checkpoint_every_ticks=20,
         safe_hold_ticks=safe_hold_ticks,
         trace_bus=bus,
@@ -88,14 +92,9 @@ class TestSupervisedUncrashedRun:
             _apps(),
             "app+res-aware",
             80.0,
-            config=ServerConfig(),
             duration_s=6.0,
             warmup_s=2.0,
             use_oracle_estimates=True,
-            dt_s=0.1,
-            seed=0,
-            faults=None,
-            resilience=None,
         )
         plain_bus = TraceBus()
         run_script(recipe, script, trace_bus=plain_bus)

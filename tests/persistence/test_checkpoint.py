@@ -18,22 +18,11 @@ from repro.persistence import (
     restore_mediator,
     write_checkpoint,
 )
-from repro.server.config import ServerConfig
 
 
 def _recipe_and_script(stream, kmeans, *, policy="app+res-aware", seed=0, faults=None):
     return mix_recipe(
-        [stream, kmeans],
-        policy,
-        100.0,
-        config=ServerConfig(),
-        duration_s=4.0,
-        warmup_s=2.0,
-        use_oracle_estimates=False,
-        dt_s=0.1,
-        seed=seed,
-        faults=faults,
-        resilience=None,
+        [stream, kmeans], policy, 100.0, duration_s=4.0, warmup_s=2.0, seed=seed, faults=faults
     )
 
 

@@ -13,10 +13,9 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import mix_recipe, run_script
-from repro.persistence import MediatorKilled, Supervisor
+from repro.chaos import kill_at, mix_recipe, run_script
+from repro.persistence import Supervisor
 from repro.persistence.supervisor import Advance
-from repro.server.config import ServerConfig
 from repro.workloads.catalog import get_application
 
 _TOTAL_TICKS = 30
@@ -33,14 +32,9 @@ def _recipe_and_script(seed: int, policy: str = "app+res-aware"):
         [get_application("stream"), get_application("kmeans")],
         policy,
         100.0,
-        config=ServerConfig(),
         duration_s=2.0,
         warmup_s=1.0,
-        use_oracle_estimates=False,
-        dt_s=0.1,
         seed=seed,
-        faults=None,
-        resilience=None,
     )
 
 
@@ -74,17 +68,9 @@ def test_supervised_kill_anywhere_is_bit_identical(kill: int) -> None:
     """A kill at ANY tick recovers to the uninterrupted timeline."""
     recipe, script = _recipe_and_script(0)
     baseline = run_script(recipe, script)
-
-    fired: set[int] = set()
-
-    def hook(mediator, tick):
-        if tick == kill and tick not in fired:
-            fired.add(tick)
-            raise MediatorKilled(f"property kill at {tick}")
-
     with tempfile.TemporaryDirectory(prefix="repro-prop-") as workdir:
         supervisor = Supervisor(
-            recipe, script, workdir, checkpoint_every_ticks=10, tick_hook=hook
+            recipe, script, workdir, checkpoint_every_ticks=10, tick_hook=kill_at([kill])
         )
         mediator = supervisor.run()
     assert supervisor.stats.restarts == 1

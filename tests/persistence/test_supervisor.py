@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.analysis.metrics import summarize_recovery
-from repro.chaos import mix_recipe, run_script
+from repro.chaos import kill_at, mix_recipe, run_script
 from repro.core.mediator import PowerMediator
 from repro.errors import CheckpointError
 from repro.learning.sampling import Sampler
@@ -18,34 +18,10 @@ from repro.persistence import (
     Supervisor,
     read_journal,
 )
-from repro.server.config import ServerConfig
 
 
 def _recipe_and_script(stream, kmeans, *, policy="app+res-aware"):
-    return mix_recipe(
-        [stream, kmeans],
-        policy,
-        100.0,
-        config=ServerConfig(),
-        duration_s=4.0,
-        warmup_s=2.0,
-        use_oracle_estimates=False,
-        dt_s=0.1,
-        seed=0,
-        faults=None,
-        resilience=None,
-    )
-
-
-def _kill_once_at(ticks):
-    fired = set()
-
-    def hook(mediator: PowerMediator, tick: int) -> None:
-        if tick in ticks and tick not in fired:
-            fired.add(tick)
-            raise MediatorKilled(f"test kill at tick {tick}")
-
-    return hook
+    return mix_recipe([stream, kmeans], policy, 100.0, duration_s=4.0, warmup_s=2.0)
 
 
 # The acceptance criterion: determinism asserted at >= 3 distinct kill
@@ -59,7 +35,7 @@ def test_warm_restart_is_bit_identical(tmp_path, stream, kmeans, kill_tick):
         script,
         tmp_path,
         checkpoint_every_ticks=20,
-        tick_hook=_kill_once_at({kill_tick}),
+        tick_hook=kill_at({kill_tick}),
     )
     mediator = supervisor.run()
     assert supervisor.stats.restarts == 1
@@ -78,7 +54,7 @@ def test_repeated_kills_make_progress(tmp_path, stream, kmeans):
         script,
         tmp_path,
         checkpoint_every_ticks=15,
-        tick_hook=_kill_once_at({5, 6, 7, 30, 31, 55}),
+        tick_hook=kill_at({5, 6, 7, 30, 31, 55}),
     )
     mediator = supervisor.run()
     assert supervisor.stats.restarts == 6
@@ -95,7 +71,7 @@ def test_kill_during_later_command(tmp_path, stream, kmeans):
         script,
         tmp_path,
         checkpoint_every_ticks=25,
-        tick_hook=_kill_once_at({31, 44}),
+        tick_hook=kill_at({31, 44}),
     )
     mediator = supervisor.run()
     assert mediator.p_cap_w == 80.0
@@ -111,7 +87,7 @@ def test_torn_journal_still_recovers(tmp_path, stream, kmeans):
         tmp_path,
         checkpoint_every_ticks=20,
         fsync_every_ticks=10,
-        tick_hook=_kill_once_at({13, 37}),
+        tick_hook=kill_at({13, 37}),
         tear_journal_bytes_on_crash=300,
     )
     mediator = supervisor.run()
@@ -149,7 +125,7 @@ def test_hang_detection(tmp_path, stream, kmeans, monkeypatch):
 def test_max_restarts_guards_crash_loops(tmp_path, stream, kmeans):
     recipe, script = _recipe_and_script(stream, kmeans)
 
-    def always_dies(mediator, tick):
+    def always_dies(tick):
         if tick >= 2:
             raise MediatorKilled("deterministic bug")
 
@@ -165,8 +141,8 @@ def test_safe_hold_applies_guard_band(tmp_path, stream, kmeans):
     baseline = run_script(recipe, script)
     observed = []
 
-    def spy(mediator: PowerMediator, tick: int) -> None:
-        observed.append((tick, mediator.safe_hold_remaining))
+    def spy(tick: int) -> None:
+        observed.append((tick, supervisor.mediator.safe_hold_remaining))
         if tick == 30 and not any(h for _, h in observed):
             raise MediatorKilled("kill for safe-hold test")
 
@@ -190,7 +166,7 @@ def test_recovery_accounting(tmp_path, stream, kmeans):
         script,
         tmp_path,
         checkpoint_every_ticks=20,
-        tick_hook=_kill_once_at({35}),
+        tick_hook=kill_at({35}),
     )
     supervisor.run()
     stats = supervisor.stats

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import kill_at
 from repro.errors import ConfigurationError
 from repro.persistence.segments import read_segmented
-from repro.service import MediatorService, ServiceConfig, ServiceKilled
+from repro.service import MediatorService, ServiceConfig
 from repro.workloads import BurstWindow
 
 # The small, fast recipe lives in the shared ``service_cfg`` fixture
@@ -88,16 +89,10 @@ def test_kill_and_warm_restart_is_invisible_in_the_stream(service_cfg, tmp_path)
     baseline = MediatorService(ServiceConfig(**service_cfg), tmp_path / "base")
     baseline.run_for_ticks(160)
     baseline.close()
-
-    def killer(tick, fired=[]):
-        if tick == 77 and not fired:
-            fired.append(tick)
-            raise ServiceKilled("chaos")
-
     chaos = MediatorService(
         ServiceConfig(**service_cfg),
         tmp_path / "chaos",
-        tick_hook=killer,
+        tick_hook=kill_at([77]),
         tear_journal_bytes_on_crash=128,
     )
     chaos.run_for_ticks(160)

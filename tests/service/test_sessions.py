@@ -111,3 +111,36 @@ def test_state_round_trip_preserves_cursors():
     missed = restored.reconnect(0)
     assert [d.payload["n"] for d in missed] == [1]
     assert Delivery.from_dict(missed[0].to_dict()) == missed[0]
+
+
+def test_connected_sessions_retain_nothing():
+    session = ClientSession(0, window=8)
+    for tick in range(5):
+        session.deliver(tick, "telemetry", {"n": tick})
+    assert session.state_dict()["window"] == []
+    session.disconnect()
+    session.deliver(5, "telemetry", {"n": 5})
+    assert [d["seq"] for d in session.state_dict()["window"]] == [5]
+    assert [d.seq for d in session.reconnect()] == [5]
+    assert session.state_dict()["window"] == []  # replayed, so released
+
+
+def test_restore_drops_consumed_deliveries_from_full_windows():
+    # Checkpoints written before windows released consumed deliveries hold
+    # every delivery; restoring one keeps only the unconsumed suffix, and
+    # the reconnect after it replays that suffix with no gap.
+    state = {
+        "client": 0,
+        "window_size": 8,
+        "connected": False,
+        "next_seq": 5,
+        "delivered_through": 2,
+        "window": [
+            Delivery(seq, seq, "telemetry", {"n": seq}).to_dict() for seq in range(5)
+        ],
+    }
+    session = ClientSession.from_state(json.loads(json.dumps(state)))
+    assert [d["seq"] for d in session.state_dict()["window"]] == [3, 4]
+    session.deliver(5, "telemetry", {"n": 5})
+    assert [d.seq for d in session.reconnect()] == [3, 4, 5]
+    assert session.delivered_through == 5 and session.pending == 0

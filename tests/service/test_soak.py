@@ -9,17 +9,12 @@ scheduled job and publishes the metrics artifact.
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
-from repro.chaos import ChurnSchedule, run_service_soak, service_kill_ticks
+from repro.chaos import ChurnSchedule, kill_schedule, run_service_soak
 from repro.errors import ChaosError
 from repro.service import ServiceConfig
 from repro.workloads import BurstWindow
-
-SOAK = os.environ.get("REPRO_SOAK") == "1"
 
 
 def _config(**overrides):
@@ -44,7 +39,7 @@ def _config(**overrides):
 
 
 def test_schedules_are_deterministic():
-    assert service_kill_ticks(1000, 3, 7) == service_kill_ticks(1000, 3, 7)
+    assert kill_schedule(1000, 3, 7) == kill_schedule(1000, 3, 7)
     a = ChurnSchedule(clients=4, total_ticks=500, events=6, seed=3)
     b = ChurnSchedule(clients=4, total_ticks=500, events=6, seed=3)
     ticks = [t for t in range(900) if a.at(t)]
@@ -90,8 +85,7 @@ def test_soak_rejects_unmet_expectations(tmp_path):
 
 @pytest.mark.soak
 @pytest.mark.timeout(900)
-@pytest.mark.skipif(not SOAK, reason="set REPRO_SOAK=1 to run the full soak")
-def test_acceptance_soak_50k(tmp_path):
+def test_acceptance_soak_50k(tmp_path, soak_report):
     """ISSUE 6 acceptance: a seeded 50k-tick open-loop soak with client
     churn, ingest overload, and mid-stream supervisor kill/restart holds
     the cap at every tick, keeps footprints (mediator history and
@@ -125,24 +119,18 @@ def test_acceptance_soak_50k(tmp_path):
     assert report.shed_commands > 0
     assert report.replayed_deliveries > 0
     assert report.checkpoint_growth <= 1.1
-    out = os.environ.get("REPRO_SOAK_REPORT")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "ticks": report.ticks,
-                    "kill_ticks": list(report.kill_ticks),
-                    "restarts": report.restarts,
-                    "replayed_ticks": report.replayed_ticks,
-                    "breach_ticks": report.breach_ticks,
-                    "shed_commands": report.shed_commands,
-                    "replayed_deliveries": report.replayed_deliveries,
-                    "trace_hash": report.trace_hash,
-                    "checkpoint_bytes_max": report.checkpoint_bytes_max,
-                    "checkpoint_growth": report.checkpoint_growth,
-                    "counters": report.counters,
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
+    soak_report(
+        {
+            "ticks": report.ticks,
+            "kill_ticks": list(report.kill_ticks),
+            "restarts": report.restarts,
+            "replayed_ticks": report.replayed_ticks,
+            "breach_ticks": report.breach_ticks,
+            "shed_commands": report.shed_commands,
+            "replayed_deliveries": report.replayed_deliveries,
+            "trace_hash": report.trace_hash,
+            "checkpoint_bytes_max": report.checkpoint_bytes_max,
+            "checkpoint_growth": report.checkpoint_growth,
+            "counters": report.counters,
+        }
+    )
